@@ -243,10 +243,10 @@ def _build_batch_env(
 
     * ``module_b`` — a memoized module serving ``uniform`` (every row
       filters the whole table) via the broadcast path, and ``masked``
-      (per-row candidate masks) via the columnar engine;
-    * ``module_cg`` — the same policy with ``memoize=False, codegen=True``,
-      so every evaluation runs the specialized flat kernel and the
-      version-keyed codegen cache accrues hits.
+      (per-row candidate masks) via the plan's specialized kernel;
+    * ``module_cg`` — the same policy with ``memoize=False``, so every
+      evaluation runs the specialized flat kernel and the version-keyed
+      codegen cache accrues hits.
 
     Correctness (batched broadcast == scalar evaluate == codegen kernel,
     and masked rows == the restricted interpreted pipeline) is asserted as
@@ -263,7 +263,7 @@ def _build_batch_env(
             module_b = FilterModule(n_resources, METRICS, build(), params)
             module_cg = FilterModule(
                 n_resources, METRICS, build(), params,
-                memoize=False, codegen=True,
+                memoize=False,
             )
             for rid in range(n_resources):
                 metrics = dict(smbm.metrics_of(rid))

@@ -107,7 +107,7 @@ def diff_tenant_payloads(source: Mapping[str, Any],
             "stamp the wrong epoch lineage",
         )
     for key in ("name", "smbm_quota", "columns", "cell_quota", "lfsr_seed",
-                "memoize", "self_healing", "sanitize", "codegen"):
+                "memoize", "self_healing", "sanitize"):
         if source.get(key) != restored.get(key):
             report.add(
                 "TH015",

@@ -552,9 +552,9 @@ def specialization_blockers(compiled: "CompiledPolicy") -> list[str]:
     A pure AST/metadata walk (no execution): returns one human-readable
     reason per blocker, empty when the plan is codegen-eligible.  This is
     the single source of truth the TH012 lint
-    (:meth:`PlanVerifier.verify_codegen`), the compiler's ``codegen=True``
-    gate and :class:`repro.engine.codegen.PlanCodegen`'s defensive check
-    all share.
+    (:meth:`PlanVerifier.verify_codegen`), the verifying compiler's
+    kernel attachment and :class:`repro.engine.codegen.PlanCodegen`'s
+    defensive check all share.
     """
     blockers: list[str] = []
     if compiled.naive:

@@ -138,7 +138,6 @@ class PolicyCompiler:
         verify: bool = True,
         schema: "TableSchema | None" = None,
         target_clock_ghz: float | None = None,
-        codegen: bool = False,
     ) -> "CompiledPolicy":
         """Map ``policy`` onto the pipeline, or raise CompilationError.
 
@@ -174,20 +173,15 @@ class PolicyCompiler:
         ``verify=False`` is the escape hatch for deliberately-degenerate
         plans (and for the verifier's own trial compilations).
 
-        ``codegen=True`` additionally runs the TH012 eligibility lint and,
-        when the plan is eligible, attaches a
-        :class:`repro.engine.codegen.PlanCodegen` specialization tier to
-        the result (:attr:`CompiledPolicy.codegen`).  Ineligible plans
-        compile fine but carry TH012 warnings and no codegen tier.  The
-        combination ``codegen=True, verify=False`` is rejected: the whole
-        bargain — generated code may elide every runtime check — rests on
-        the plan having been verified.
+        A verified plan with no TH012 specialization blockers also gets a
+        :class:`repro.engine.codegen.PlanCodegen` kernel attached
+        (:attr:`CompiledPolicy.codegen`).  Ineligible plans compile fine
+        with no kernel; the blockers are reported by
+        :meth:`~repro.analysis.verifier.PlanVerifier.verify_codegen`, not
+        added to the lint findings.  ``verify=False`` never attaches one:
+        the generated code elides every runtime check, which only a
+        verified plan may drop.
         """
-        if codegen and not verify:
-            raise ConfigurationError(
-                "codegen=True requires verify=True: specialized kernels "
-                "elide the runtime checks only a verified plan may drop"
-            )
         with obs.get_tracer().span("policy_compile") as span:
             compiled = self._compile(
                 policy, taps=taps, lfsr_seed=lfsr_seed, naive=naive,
@@ -199,7 +193,10 @@ class PolicyCompiler:
         if verify:
             # Late import: repro.analysis.verifier imports this module's
             # types for its trial-compile helper.
-            from repro.analysis.verifier import PlanVerifier
+            from repro.analysis.verifier import (
+                PlanVerifier,
+                specialization_blockers,
+            )
 
             verifier = PlanVerifier(
                 self._params, schema=schema,
@@ -208,17 +205,12 @@ class PolicyCompiler:
             report = verifier.verify_compiled(compiled)
             report.emit()
             report.raise_if_errors()
-            warnings = report.warnings
-            if codegen:
-                eligibility = verifier.verify_codegen(compiled)
-                eligibility.emit()
-                warnings = warnings + eligibility.warnings
-                if eligibility.clean:
-                    # Late import: the engine layer sits above core.
-                    from repro.engine.codegen import PlanCodegen
+            compiled.attach_lint_findings(report.warnings)
+            if not specialization_blockers(compiled):
+                # Late import: the engine layer sits above core.
+                from repro.engine.codegen import PlanCodegen
 
-                    compiled.attach_codegen(PlanCodegen(compiled))
-            compiled.attach_lint_findings(warnings)
+                compiled.attach_codegen(PlanCodegen(compiled))
         return compiled
 
     def _compile(
@@ -680,8 +672,8 @@ class CompiledPolicy:
         self._dead_cells = frozenset(dead_cells)
         # Warning-level verifier findings, attached post-verification.
         self._lint_findings: tuple["Finding", ...] = ()
-        # The codegen specialization tier, attached by compile(codegen=True)
-        # when the plan passes the TH012 eligibility lint.
+        # The specialized kernel, attached by a verifying compile when the
+        # plan has no TH012 specialization blockers.
         self._codegen: "PlanCodegen | None" = None
         # Memoizable iff no programmed unit keeps cross-packet state.
         self._stateless = config.is_stateless()
@@ -760,8 +752,8 @@ class CompiledPolicy:
 
     @property
     def codegen(self) -> "PlanCodegen | None":
-        """The specialization tier, or ``None`` when not requested at
-        compile time or when the plan carries TH012 blockers."""
+        """The specialized kernel, or ``None`` when compiled with
+        ``verify=False`` or when the plan carries TH012 blockers."""
         return self._codegen
 
     def attach_codegen(self, codegen: "PlanCodegen") -> None:

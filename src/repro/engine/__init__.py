@@ -4,17 +4,13 @@ The engine is the throughput tier above the per-packet fast path:
 
 * :class:`~repro.engine.batch.PacketBatch` — the columnar
   (struct-of-arrays) packet buffer;
-* :class:`~repro.engine.columnar.BatchedEvaluator` — interpreted batch
-  evaluation over mask columns (numpy lane + pure-Python fallback);
-* :class:`~repro.engine.codegen.PlanCodegen` — per-plan specialized flat
-  closures and batch kernels, cached on ``(plan_hash, smbm.version)``.
-
-numpy is optional (the ``repro[batch]`` extra): every module consults
-:data:`repro.engine._np.HAVE_NUMPY` at call time and falls back to the
-pure-Python int-mask lane without it.
+* :class:`~repro.engine.codegen.PlanCodegen` — the one fast evaluator: a
+  per-plan specialized int-bitmask kernel, cached on
+  ``(plan_hash, smbm.version)``, that serves memo misses and masked rows;
+* :class:`~repro.engine.columnar.BatchedEvaluator` — the interpreted
+  int-mask walk that serves masked rows for plans without a kernel.
 """
 
-from repro.engine._np import HAVE_NUMPY
 from repro.engine.batch import (
     META_FILTER_INPUT,
     META_FILTER_OUTPUT,
@@ -23,11 +19,9 @@ from repro.engine.batch import (
     PacketBatch,
 )
 from repro.engine.codegen import PlanCodegen, generate_plan_source, plan_hash_of
-from repro.engine.columnar import BatchedEvaluator, MIN_NUMPY_ROWS
+from repro.engine.columnar import BatchedEvaluator
 
 __all__ = [
-    "HAVE_NUMPY",
-    "MIN_NUMPY_ROWS",
     "PacketBatch",
     "BatchedEvaluator",
     "PlanCodegen",

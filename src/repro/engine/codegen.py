@@ -8,15 +8,13 @@ caller-supplied inputs, no interior taps — all of that is provably dead
 weight: the plan's meaning is a pure function of the table contents.
 
 :class:`PlanCodegen` therefore emits, once per distinct plan, one small
-Python module of straight-line code with two entry points:
-
-* ``specialize(smbm)`` — resolves everything that is constant for one
-  table version (predicate satisfying-sets as raw int masks, bound
-  min/max bisect methods) and returns a flat ``kernel(mask) -> mask``
-  closure over those constants: no operator objects, no checks, no
-  dispatch;
-* ``specialize_batch(smbm, np)`` — the same, over dense bool matrices
-  ``[B, capacity]`` for the columnar batch tier (numpy only).
+Python module of straight-line code with one entry point,
+``specialize(smbm)``: it resolves everything that is constant for one
+table version (predicate satisfying-sets as raw int masks, bound min/max
+bisect methods) and returns a flat ``kernel(mask) -> mask`` closure over
+those constants — no operator objects, no checks, no dispatch.  The same
+kernel serves a full-table evaluation (``kernel(table)``) and a masked row
+(``kernel(table & mask)``).
 
 Sources are cached module-wide on ``plan_hash`` (a digest of the
 canonical DAG serialization) and exec'd once; specialized kernels are
@@ -38,15 +36,7 @@ from repro import obs
 from repro.core.operators import BinaryOp, RelOp, UnaryOp
 from repro.core.policy import Binary, Conditional, Node, Policy, TableRef, Unary
 from repro.core.smbm import SMBM
-from repro.engine import _np
-from repro.engine.columnar import (
-    MIN_NUMPY_ROWS,
-    masks_to_matrix,
-    matrix_to_masks,
-    select_k_ranked,
-    select_k_scalar,
-    unpack_mask,
-)
+from repro.engine.columnar import select_k_scalar
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -141,10 +131,8 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     ordinal = {node.node_id: i for i, node in enumerate(order)}
 
     idx_vars: dict[str, str] = {}      # metric attr -> preamble index var
-    pre_s: list[str] = []              # scalar specialize preamble
-    pre_b: list[str] = []              # batch specialize preamble
-    body_s: list[str] = []             # scalar kernel body
-    body_b: list[str] = []             # batch kernel body
+    pre: list[str] = []                # specialize preamble
+    body: list[str] = []               # kernel body
     name: dict[int, str] = {}          # node id -> kernel variable/alias
 
     def index_var(attr: str) -> str:
@@ -152,9 +140,7 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
         if var is None:
             var = f"i{len(idx_vars)}"
             idx_vars[attr] = var
-            line = f"{var} = smbm.metric_index({attr!r})"
-            pre_s.append(line)
-            pre_b.append(line)
+            pre.append(f"{var} = smbm.metric_index({attr!r})")
         return var
 
     for node in order:
@@ -176,26 +162,19 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
                 assert cfg.rel_op is not None and cfg.val is not None
                 sat = (f"{index_var(cfg.attr or '')}.predicate_mask("
                        f"RELOPS[{relop_index[cfg.rel_op]}], {cfg.val}, full)")
-                pre_s.append(f"c{i} = {sat}")
-                pre_b.append(f"c{i} = unpack_mask(np, {sat}, capacity)")
-                body_s.append(f"v{i} = {child} & c{i}")
-                body_b.append(f"v{i} = {child} & c{i}")
+                pre.append(f"c{i} = {sat}")
+                body.append(f"v{i} = {child} & c{i}")
                 name[node.node_id] = f"v{i}"
             elif op in (UnaryOp.MIN, UnaryOp.MAX):
                 var = index_var(cfg.attr or "")
                 method = "min_mask" if op is UnaryOp.MIN else "max_mask"
-                pre_s.append(f"p{i} = {var}.{method}")
-                pre_b.append(f"a{i} = np.asarray({var}.ids, dtype=np.intp)")
+                pre.append(f"p{i} = {var}.{method}")
                 if cfg.k == 1:
-                    body_s.append(f"v{i} = p{i}({child})")
+                    body.append(f"v{i} = p{i}({child})")
                 else:
-                    body_s.append(
+                    body.append(
                         f"v{i} = select_k_scalar(p{i}, {child}, {cfg.k})"
                     )
-                body_b.append(
-                    f"v{i} = select_k_ranked(np, {child}, a{i}, {cfg.k}, "
-                    f"{op is UnaryOp.MAX})"
-                )
                 name[node.node_id] = f"v{i}"
             else:
                 raise ConfigurationError(
@@ -213,20 +192,12 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
                     BinaryOp.INTERSECTION: f"{left} & {right}",
                     BinaryOp.DIFFERENCE: f"{left} & ~{right}",
                 }[node.opcode]
-                body_s.append(f"v{i} = {expr}")
-                body_b.append(f"v{i} = {expr}")
+                body.append(f"v{i} = {expr}")
                 name[node.node_id] = f"v{i}"
         elif isinstance(node, Conditional):
             primary = name[node.primary.node_id]
             fallback = name[node.fallback.node_id]
-            body_s.append(f"v{i} = {primary} if {primary} else {fallback}")
-            # np.any, not ndarray.any: the method form lazily imports
-            # through the calling frame's builtins, which the hermetic
-            # exec namespace deliberately empties.
-            body_b.append(
-                f"v{i} = np.where(np.any({primary}, axis=1)[:, None], "
-                f"{primary}, {fallback})"
-            )
+            body.append(f"v{i} = {primary} if {primary} else {fallback}")
             name[node.node_id] = f"v{i}"
         else:  # pragma: no cover - exhaustive over node types
             raise ConfigurationError(f"unknown node type {type(node)!r}")
@@ -241,36 +212,25 @@ def generate_plan_source(policy: Policy) -> tuple[str, str, tuple[RelOp, ...]]:
     # and the policy's display name is metadata, not plan content).
     parts = [f"# plan {digest}", "", "def specialize(smbm):",
              "    full = (1 << smbm.capacity) - 1"]
-    if pre_s:
-        parts.append(block(pre_s, "    "))
+    if pre:
+        parts.append(block(pre, "    "))
     parts.append("    def kernel(t):")
-    if body_s:
-        parts.append(block(body_s, "        "))
-    parts.append(f"        return {root}")
-    parts.append("    return kernel")
-    parts.append("")
-    parts.append("def specialize_batch(smbm, np):")
-    parts.append("    capacity = smbm.capacity")
-    parts.append("    full = (1 << capacity) - 1")
-    if pre_b:
-        parts.append(block(pre_b, "    "))
-    parts.append("    def kernel(t):")
-    if body_b:
-        parts.append(block(body_b, "        "))
+    if body:
+        parts.append(block(body, "        "))
     parts.append(f"        return {root}")
     parts.append("    return kernel")
     return "\n".join(parts) + "\n", digest, relops
 
 
 class PlanCodegen:
-    """The codegen tier of one compiled plan.
+    """The specialized int-bitmask kernel of one compiled plan.
 
     Construction requires a specialization-eligible plan (no TH012
     blockers — see
     :func:`repro.analysis.verifier.specialization_blockers`); the
-    compiler's ``codegen=True`` path checks eligibility before building
-    one, and construction re-raises :class:`ConfigurationError` on an
-    ineligible plan as defense in depth.
+    verifying compiler checks eligibility before building one, and
+    construction re-raises :class:`ConfigurationError` on an ineligible
+    plan as defense in depth.
     """
 
     def __init__(self, compiled: "CompiledPolicy"):
@@ -292,21 +252,16 @@ class PlanCodegen:
             namespace = {
                 "__builtins__": {},
                 "RELOPS": relops,
-                "unpack_mask": unpack_mask,
-                "select_k_ranked": select_k_ranked,
                 "select_k_scalar": select_k_scalar,
             }
             exec(compile(source, f"<plan {digest}>", "exec"), namespace)
             _SOURCE_CACHE[digest] = namespace
         self._specialize = namespace["specialize"]
-        self._specialize_batch = namespace["specialize_batch"]
-        # Single-entry version-keyed kernel caches, one per lane: the SMBM
-        # version only moves forward, so older kernels can never become
-        # valid again — same invalidation point as the FilterModule memo.
-        self._scalar_version: int | None = None
-        self._scalar_kernel = None
-        self._batch_version: int | None = None
-        self._batch_kernel = None
+        # Single-entry version-keyed kernel cache: the SMBM version only
+        # moves forward, so older kernels can never become valid again —
+        # same invalidation point as the FilterModule memo.
+        self._version: int | None = None
+        self._kernel = None
         # Hot-path counters stay plain ints; a weakly-held collect hook
         # publishes them only when a real registry is active.
         self._specializations = 0
@@ -330,7 +285,7 @@ class PlanCodegen:
         yield obs.Sample(
             "codegen_specializations_total", self._specializations,
             labels=labels,
-            help="specialized kernels built (scalar and batch lanes)",
+            help="specialized kernels built (one per table version)",
         )
 
     @property
@@ -349,7 +304,7 @@ class PlanCodegen:
 
     @property
     def specializations(self) -> int:
-        """Kernels built so far (one per table version per lane touched)."""
+        """Kernels built so far (one per table version touched)."""
         return self._specializations
 
     @property
@@ -368,39 +323,37 @@ class PlanCodegen:
         }
 
     def invalidate(self) -> None:
-        """Drop both lanes' specialized kernels unconditionally.
+        """Drop the specialized kernel unconditionally.
 
-        The version-keyed caches assume the SMBM version only moves
+        The version-keyed cache assumes the SMBM version only moves
         forward; a checkpoint *restore* can move it backward (or land on a
         reused version number over different contents), so the serving
         layer's cache-reset path calls this alongside dropping the scalar
         memo.
         """
-        self._scalar_version = None
-        self._scalar_kernel = None
-        self._batch_version = None
-        self._batch_kernel = None
-
-    # -- scalar lane ---------------------------------------------------------------
+        self._version = None
+        self._kernel = None
 
     def kernel(self, smbm: SMBM):
         """The flat ``kernel(mask) -> mask`` closure for the current table
         version, specializing if the version moved."""
         version = smbm.version
-        if version == self._scalar_version:
+        if version == self._version:
             self._hits += 1
         else:
-            self._scalar_kernel = self._specialize(smbm)
-            self._scalar_version = version
+            # Drop the stale kernel first: it pins the previous version's
+            # metric indexes, which would otherwise coexist with the ones
+            # being rebuilt.
+            self.invalidate()
+            self._kernel = self._specialize(smbm)
+            self._version = version
             self._specializations += 1
             self._misses += 1
-        return self._scalar_kernel
+        return self._kernel
 
     def evaluate(self, smbm: SMBM) -> int:
         """One packet's policy output as a raw int mask."""
         return self.kernel(smbm)(smbm.id_mask())
-
-    # -- batch lane ----------------------------------------------------------------
 
     def evaluate_masks(self, smbm: SMBM, masks: Sequence[int]) -> list[int]:
         """One output mask per input mask (inputs are intersected with the
@@ -408,18 +361,5 @@ class PlanCodegen:
         if not masks:
             return []
         present = smbm.id_mask()
-        base = [present & m for m in masks]
-        if _np.HAVE_NUMPY and len(base) >= MIN_NUMPY_ROWS:
-            np = _np.numpy
-            version = smbm.version
-            if version == self._batch_version:
-                self._hits += 1
-            else:
-                self._batch_kernel = self._specialize_batch(smbm, np)
-                self._batch_version = version
-                self._specializations += 1
-                self._misses += 1
-            matrix = masks_to_matrix(np, base, smbm.capacity)
-            return matrix_to_masks(np, self._batch_kernel(matrix))
         kern = self.kernel(smbm)
-        return [kern(b) for b in base]
+        return [kern(present & m) for m in masks]

@@ -1,25 +1,17 @@
 """Batched columnar policy evaluation over id-mask columns.
 
-The scalar fast path walks interpreted operator objects once *per packet*;
-at batch sizes beyond a handful of packets, Python dispatch — not the
-algorithm — dominates.  :class:`BatchedEvaluator` walks the policy DAG
-once *per batch* instead, carrying a whole column of input masks through
-every operator:
+The scalar fast path walks interpreted operator objects once *per packet*.
+:class:`BatchedEvaluator` walks the policy DAG once *per batch* instead,
+carrying a column of raw int masks through every operator via the same
+:class:`~repro.core.smbm.MetricIndex` bisect primitives the scalar fast
+path uses.
 
-* with numpy (the optional ``repro[batch]`` extra) a column is a dense
-  boolean matrix ``[B, capacity]`` and each operator is a handful of
-  vectorised array ops — a predicate is one AND against a satisfying-ids
-  row vector, min/max-k is a cumulative sum over rank-ordered columns;
-* without numpy the column is a list of raw int masks and each operator
-  loops the rows through the same :class:`~repro.core.smbm.MetricIndex`
-  bisect primitives the scalar fast path uses.
-
-Either lane computes the DAG semantics of
+It computes the DAG semantics of
 :class:`~repro.core.policy.PolicyInterpreter` — legal exactly for plans
-with no cross-packet state and no caller-supplied inputs, the same
-eligibility the TH012 lint gates codegen on.  The free helper functions
-(mask packing, rank-select) are shared with the generated batch kernels in
-:mod:`repro.engine.codegen`.
+with no cross-packet state and no caller-supplied inputs.  It serves
+masked rows for plans without a specialized kernel (naive builds and
+``verify=False`` compilations); :func:`select_k_scalar` is shared with
+the generated kernels in :mod:`repro.engine.codegen`.
 """
 
 from __future__ import annotations
@@ -29,65 +21,12 @@ from typing import Sequence
 from repro.core.operators import BinaryOp, UnaryOp
 from repro.core.policy import Binary, Conditional, Node, Policy, TableRef, Unary
 from repro.core.smbm import SMBM
-from repro.engine import _np
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "BatchedEvaluator",
-    "MIN_NUMPY_ROWS",
-    "masks_to_matrix",
-    "matrix_to_masks",
-    "unpack_mask",
-    "select_k_ranked",
-]
-
-#: Below this many rows the numpy lane's fixed costs (packing, array
-#: allocation) outweigh the vectorisation win; the int-mask lane runs.
-MIN_NUMPY_ROWS = 8
+__all__ = ["BatchedEvaluator", "select_k_scalar"]
 
 
-# -- shared column primitives (also used by generated batch kernels) -----------
-
-
-def masks_to_matrix(np, masks: Sequence[int], capacity: int):
-    """Raw int masks -> dense bool matrix ``[len(masks), capacity]``."""
-    nbytes = (capacity + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :capacity]
-    return bits.astype(bool)
-
-
-def matrix_to_masks(np, matrix) -> list[int]:
-    """Dense bool matrix -> one raw int mask per row."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def unpack_mask(np, mask: int, capacity: int):
-    """One raw int mask -> bool row vector of length ``capacity``."""
-    return masks_to_matrix(np, (mask,), capacity)[0]
-
-
-def select_k_ranked(np, column, ids, k: int, reverse: bool):
-    """The k lowest-rank (or highest, when ``reverse``) entries per row.
-
-    ``column`` is a bool matrix ``[B, capacity]`` indexed by id;
-    ``ids`` is the metric's rank-ordered id array
-    (:attr:`~repro.core.smbm.MetricIndex.ids`).  Reordering the columns
-    into rank order turns "k smallest values" into "first k set bits",
-    which a cumulative sum answers for the whole batch at once — the
-    columnar analogue of the K-UFPU chain's Equation 1 iteration.
-    """
-    ranked = column[:, ids]
-    if reverse:
-        ranked = ranked[:, ::-1]
-    selected = ranked & (np.cumsum(ranked, axis=1) <= k)
-    if reverse:
-        selected = selected[:, ::-1]
-    out = np.zeros_like(column)
-    out[:, ids] = selected
-    return out
+# -- shared column primitive (also used by generated kernels) -----------------
 
 
 def select_k_scalar(pick, bits: int, k: int) -> int:
@@ -164,13 +103,6 @@ class BatchedEvaluator:
             return []
         present = smbm.id_mask()
         base = [present & m for m in masks]
-        if _np.HAVE_NUMPY and len(base) >= MIN_NUMPY_ROWS:
-            return self._evaluate_numpy(smbm, base)
-        return self._evaluate_python(smbm, base)
-
-    # -- pure-Python lane: lists of raw int masks ----------------------------------
-
-    def _evaluate_python(self, smbm: SMBM, base: list[int]) -> list[int]:
         full = self._full
         memo: dict[int, list[int]] = {}
 
@@ -224,64 +156,3 @@ class BatchedEvaluator:
             return col
 
         return walk(self._policy.root)
-
-    # -- numpy lane: dense bool matrices [B, capacity] ------------------------------
-
-    def _evaluate_numpy(self, smbm: SMBM, base: list[int]) -> list[int]:
-        np = _np.numpy
-        full = self._full
-        capacity = self._capacity
-        base_matrix = masks_to_matrix(np, base, capacity)
-        memo: dict[int, object] = {}
-
-        def walk(node: Node):
-            cached = memo.get(node.node_id)
-            if cached is not None:
-                return cached
-            if isinstance(node, TableRef):
-                col = base_matrix
-            elif isinstance(node, Unary):
-                child = walk(node.child)
-                cfg = node.config
-                op = cfg.opcode
-                if op is UnaryOp.NO_OP:
-                    col = child
-                elif op is UnaryOp.PREDICATE:
-                    assert cfg.attr is not None and cfg.rel_op is not None
-                    assert cfg.val is not None
-                    sat = smbm.metric_index(cfg.attr).predicate_mask(
-                        cfg.rel_op, cfg.val, full
-                    )
-                    col = child & unpack_mask(np, sat, capacity)
-                elif op in (UnaryOp.MIN, UnaryOp.MAX):
-                    assert cfg.attr is not None
-                    index = smbm.metric_index(cfg.attr)
-                    ids = np.asarray(index.ids, dtype=np.intp)
-                    col = select_k_ranked(
-                        np, child, ids, cfg.k, op is UnaryOp.MAX
-                    )
-                else:  # pragma: no cover - rejected at construction
-                    raise ConfigurationError(f"stateful opcode {op} in batch")
-            elif isinstance(node, Binary):
-                left = walk(node.left)
-                right = walk(node.right)
-                op = node.opcode
-                if op is BinaryOp.NO_OP:
-                    col = left if node.choice == 0 else right
-                elif op is BinaryOp.UNION:
-                    col = left | right
-                elif op is BinaryOp.INTERSECTION:
-                    col = left & right
-                else:
-                    col = left & ~right
-            elif isinstance(node, Conditional):
-                primary = walk(node.primary)
-                fallback = walk(node.fallback)
-                non_empty = primary.any(axis=1)[:, None]
-                col = np.where(non_empty, primary, fallback)
-            else:  # pragma: no cover
-                raise ConfigurationError(f"unknown node type {type(node)!r}")
-            memo[node.node_id] = col
-            return col
-
-        return matrix_to_masks(np, walk(self._policy.root))

@@ -14,7 +14,7 @@ Two backends conform today, both multiplexing tenants over one
   traverses the RMT pipeline individually (``switch.process``);
 * :class:`BatchedBackend` — the columnar engine path: probe packets act
   as batch boundaries and the data runs between them go through the
-  batched/codegen tiers (``switch.process_batch``).
+  batch tiers (``switch.process_batch``).
 
 The shared machinery — tenant demux, admission, the epoch watermark
 stamped on filter outputs, serving-cache resets on plan or table change —
@@ -91,7 +91,6 @@ def spec_from_checkpoint(ckpt: TenantCheckpoint) -> TenantSpec:
         memoize=ckpt.memoize,
         self_healing=ckpt.self_healing,
         sanitize=ckpt.sanitize,
-        codegen=ckpt.codegen,
     )
 
 
@@ -287,7 +286,6 @@ class _ManagerBackend(SwitchBackend):
             memoize=spec.memoize,
             self_healing=spec.self_healing,
             sanitize=spec.sanitize,
-            codegen=spec.codegen,
         )
         self._obs_snapshots.inc()
         return ckpt
@@ -344,7 +342,7 @@ class ScalarBackend(_ManagerBackend):
 
 class BatchedBackend(_ManagerBackend):
     """The columnar engine path: probes are batch boundaries, data runs
-    between them go through the batched/codegen tiers."""
+    between them go through the batch tiers."""
 
     name = "batched"
 

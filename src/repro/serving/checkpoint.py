@@ -192,7 +192,6 @@ class TenantCheckpoint:
     memoize: bool = True
     self_healing: bool = False
     sanitize: bool = False
-    codegen: bool = False
 
     def payload(self) -> dict[str, Any]:
         return {
@@ -207,7 +206,6 @@ class TenantCheckpoint:
             "memoize": self.memoize,
             "self_healing": self.self_healing,
             "sanitize": self.sanitize,
-            "codegen": self.codegen,
         }
 
     @classmethod
@@ -226,7 +224,6 @@ class TenantCheckpoint:
                 memoize=bool(raw["memoize"]),
                 self_healing=bool(raw["self_healing"]),
                 sanitize=bool(raw["sanitize"]),
-                codegen=bool(raw["codegen"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(

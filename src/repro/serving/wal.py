@@ -128,7 +128,6 @@ def spec_to_dict(spec: TenantSpec) -> dict[str, Any]:
         "memoize": spec.memoize,
         "self_healing": spec.self_healing,
         "sanitize": spec.sanitize,
-        "codegen": spec.codegen,
     }
 
 
@@ -146,7 +145,6 @@ def spec_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
             memoize=bool(raw["memoize"]),
             self_healing=bool(raw["self_healing"]),
             sanitize=bool(raw["sanitize"]),
-            codegen=bool(raw["codegen"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WalError(f"malformed tenant spec document: {exc!r}") from None

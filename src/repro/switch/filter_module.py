@@ -58,15 +58,6 @@ __all__ = [
 #: :class:`~repro.errors.ConfigError` raised for a bad combination quotes
 #: every violated pair's rationale, not just the first one hit.
 _FLAG_CONFLICTS: dict[tuple[str, str], str] = {
-    ("codegen", "self_healing"): (
-        "the specialized kernel never routes through the physical Cells, "
-        "so a Cell fault could neither surface nor be healed mid-traffic"
-    ),
-    ("codegen", "naive"): (
-        "naive builds the O(N) reference data path as a differential "
-        "oracle, while codegen replaces the data path with a specialized "
-        "kernel — the oracle would never execute"
-    ),
     ("naive", "tenant"): (
         "tenant slicing confines the plan to a Cell-column slice of the "
         "shared pipeline; the O(N) reference data path models a private "
@@ -85,6 +76,14 @@ class FilterModule:
     table every clock cycle.  Any committed write bumps the version and so
     invalidates the cache.  Stateful policies are never memoized (their
     outputs advance per packet by design).
+
+    A memo miss runs the plan's specialized kernel
+    (:attr:`codegen`) when the verifying compiler attached one, and the
+    cycle-accurate pipeline otherwise.  The pipeline also serves every
+    miss while ``self_healing`` is on or any Cell fault has been
+    injected: Cells must be traversed in order to fail.  Rows carrying a
+    candidate mask (``META_FILTER_INPUT``) use the kernel whenever it
+    exists, in :meth:`hook` and :meth:`evaluate_batch` alike.
     """
 
     def __init__(
@@ -100,7 +99,6 @@ class FilterModule:
         self_healing: bool = False,
         sanitize: bool = False,
         verify: bool = True,
-        codegen: bool = False,
         tenant: str | None = None,
         reserved_cells: "Iterable[tuple[int, int]]" = (),
         input_lines: "Iterable[int] | None" = None,
@@ -110,12 +108,7 @@ class FilterModule:
             or bool(reserved_cells)
             or input_lines is not None
         )
-        flags = {
-            "codegen": codegen,
-            "self_healing": self_healing,
-            "naive": naive,
-            "tenant": tenant_mode,
-        }
+        flags = {"naive": naive, "tenant": tenant_mode}
         conflicts = [pair for pair in _FLAG_CONFLICTS
                      if flags[pair[0]] and flags[pair[1]]]
         if conflicts:
@@ -158,7 +151,6 @@ class FilterModule:
         self._hw_dead: set[tuple[int, int]] = set()
         self._hw_stuck: dict[tuple[int, int], dict[int, int]] = {}
         self._routed_around: set[tuple[int, int]] = set()
-        self._codegen_requested = codegen
         # A hitless hot-swap bumps the epoch; the watermark is stamped on
         # every filter output (scalar and batched) so a packet stream
         # spanning a swap separates cleanly into old-plan/new-plan halves.
@@ -166,9 +158,8 @@ class FilterModule:
         self._swap_version: int | None = None
         self._compiled: CompiledPolicy = self._compile_policy(policy)
         self._codegen = self._compiled.codegen
-        self._check_codegen_armed(self._compiled, policy)
-        # The interpreted batch tier for plans that cannot (or were not
-        # asked to) specialize; built lazily on the first masked batch.
+        # The interpreted batch tier for stateless plans without a kernel;
+        # built lazily on the first masked row.
         self._batch_eval: BatchedEvaluator | None = None
         self._batch_eval_tried = False
         self._evaluations = 0
@@ -185,8 +176,9 @@ class FilterModule:
         self._cache_misses = 0
         # Batch-tier attribution: how many rows each serving path handled.
         # "broadcast" = uniform rows collapsed to one memoized evaluation,
-        # "engine" = columnar/codegen batch kernels, "fallback" = the
-        # scalar per-row loop (stateful policies, ineligible plans).
+        # "engine" = the kernel or the interpreted columnar walk,
+        # "fallback" = the scalar per-row loop (stateful policies,
+        # caller-supplied inputs).
         self._batches = 0
         self._batch_rows = 0
         self._batch_broadcast_rows = 0
@@ -239,7 +231,7 @@ class FilterModule:
         self._obs_cache_resets = registry.counter(
             "serving_cache_resets_total", tlabels or None,
             help="serving-cache invalidations (memo, batch evaluator, "
-                 "codegen kernels) on install, hot-swap, fail-around, "
+                 "specialized kernel) on install, hot-swap, fail-around, "
                  "and table restore",
         )
         # Count the install itself: construction runs the same
@@ -307,18 +299,7 @@ class FilterModule:
             dead_cells=self._reserved | self._routed_around,
             input_lines=self._input_lines,
             verify=self._verify, schema=self._schema,
-            codegen=self._codegen_requested,
         )
-
-    def _check_codegen_armed(self, compiled: CompiledPolicy,
-                             policy: Policy) -> None:
-        if self._codegen_requested and compiled.codegen is None:
-            blockers = [f.message for f in compiled.lint_findings
-                        if f.rule == "TH012"]
-            raise ConfigurationError(
-                f"policy {policy.name!r} is not codegen-eligible (TH012): "
-                + "; ".join(blockers)
-            )
 
     @property
     def smbm(self) -> SMBM:
@@ -371,7 +352,7 @@ class FilterModule:
         Every serving cache is dropped *before* the restore lands: the
         restored version counter may be lower than (or collide with) the
         live one, so version-keyed reuse across a restore is unsound — the
-        memo, batch evaluator, and codegen kernels all rebuild against the
+        memo, batch evaluator, and specialized kernel all rebuild against the
         restored table.  ``plan_epoch`` optionally re-stamps the module's
         epoch watermark so a migrated tenant's outputs keep the epoch
         lineage of the source module.
@@ -408,8 +389,8 @@ class FilterModule:
 
     @property
     def codegen(self):
-        """The plan's :class:`~repro.engine.codegen.PlanCodegen` tier, or
-        ``None`` when the module was built without ``codegen=True``."""
+        """The plan's :class:`~repro.engine.codegen.PlanCodegen` kernel, or
+        ``None`` for naive, ``verify=False`` and TH012-ineligible plans."""
         return self._codegen
 
     def counters(self) -> dict[str, int]:
@@ -492,8 +473,8 @@ class FilterModule:
                 self._heal_dead(fault)
 
     def _run_pipeline(self) -> BitVector:
-        """The miss path: run the specialized kernel when armed, else the
-        compiled pipeline, attributing wall time and deterministic hardware
+        """The miss path: run the specialized kernel when it may serve, else
+        the compiled pipeline, attributing wall time and deterministic hardware
         latency when metrics are enabled."""
         if not self._obs_enabled:
             return self._evaluate_once()
@@ -503,28 +484,43 @@ class FilterModule:
         self._obs_cycles.inc(self._compiled.latency_cycles)
         return out
 
+    def _cells_faulted(self) -> bool:
+        """True once any Cell fault has been injected (dead or stuck)."""
+        return bool(self._hw_dead or self._hw_stuck)
+
     def _evaluate_once(self) -> BitVector:
-        if self._codegen is None:
+        # With self-healing on or any Cell fault injected, the miss must
+        # traverse the Cells: the kernel would hide the fault.
+        kernel = (None if self._self_healing or self._cells_faulted()
+                  else self._codegen)
+        if kernel is None:
             out = self._compiled.evaluate(self._smbm)
             if self._sanitize:
                 self._check_semantic_containment(out.value)
             return out
         out = BitVector.from_int(
-            self._smbm.capacity, self._codegen.evaluate(self._smbm)
+            self._smbm.capacity, kernel.evaluate(self._smbm)
         )
         if self._sanitize:
             # The interpreted plan stays the differential oracle of the
             # generated code (the GoldenOracle pattern, one tier up).
-            expected = self._compiled.evaluate(self._smbm)
-            if out != expected:
-                raise IntegrityError(
-                    f"sanitizer: codegen kernel output {out.value:#x} "
-                    f"disagrees with the interpreted plan "
-                    f"{expected.value:#x} on policy {self._policy.name!r}",
-                    component="filter_module",
-                )
+            self._check_kernel_output(
+                out.value, self._compiled.evaluate(self._smbm).value, None
+            )
             self._check_semantic_containment(out.value)
         return out
+
+    def _check_kernel_output(self, actual: int, expected: int,
+                             mask: int | None) -> None:
+        """Sanitizer: one kernel output against the interpreted plan."""
+        if actual != expected:
+            row = "" if mask is None else f" (candidate mask {mask:#x})"
+            raise IntegrityError(
+                f"sanitizer: codegen kernel output {actual:#x}{row} "
+                f"disagrees with the interpreted plan {expected:#x} on "
+                f"policy {self._policy.name!r}",
+                component="filter_module",
+            )
 
     def _semantic_root_region(self) -> Region:
         """The symbolic analyzer's over-approximation of the rows the
@@ -691,7 +687,7 @@ class FilterModule:
         install (construction), hitless hot-swap, fail-around
         recompilation, and checkpoint restore.  Covers the version-keyed
         scalar memo, the lazily-built interpreted batch evaluator, and the
-        codegen tier's specialized kernels; counted once per reset on
+        plan's specialized kernel; counted once per reset on
         ``serving_cache_resets_total``.
         """
         self._memo_version = None
@@ -734,7 +730,6 @@ class FilterModule:
         Returns the new plan epoch.
         """
         compiled = self._compile_policy(policy)
-        self._check_codegen_armed(compiled, policy)
         if gate is not None:
             gate(compiled)
         self._rearm_faults(compiled)
@@ -853,20 +848,30 @@ class FilterModule:
         return out.first_set()
 
     def hook(self, packet: Packet) -> None:
-        """The per-stage module hook: filter on request, bypass otherwise."""
-        if not packet.metadata.get(META_FILTER_REQUEST):
+        """The per-stage module hook: filter on request, bypass otherwise.
+
+        A packet carrying a candidate mask (``META_FILTER_INPUT``) is
+        filtered over ``table ∩ mask`` through the same masked-row path
+        :meth:`evaluate_batch` uses; otherwise over the full table.
+        """
+        meta = packet.metadata
+        if not meta.get(META_FILTER_REQUEST):
             return
-        out = self.evaluate()
-        packet.metadata[META_FILTER_OUTPUT] = out.value
-        packet.metadata[META_FILTER_SELECTED] = (
-            out.first_set() if out.popcount() == 1 else -1
+        mask = meta.get(META_FILTER_INPUT)
+        if mask is None:
+            out = self.evaluate().value
+        else:
+            [out], _ = self._evaluate_masked([int(mask)])
+        meta[META_FILTER_OUTPUT] = out
+        meta[META_FILTER_SELECTED] = (
+            (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
         )
-        packet.metadata[META_FILTER_EPOCH] = self._plan_epoch
+        meta[META_FILTER_EPOCH] = self._plan_epoch
 
     # -- batched processing -------------------------------------------------------------
 
     def _batch_engine(self):
-        """The masked-row batch engine: the codegen tier when armed, else
+        """The masked-row engine: the plan's kernel when it has one, else
         the interpreted columnar tier when the plan is expressible there
         (stateless, no caller-supplied inputs), else ``None``."""
         if self._codegen is not None:
@@ -882,6 +887,38 @@ class FilterModule:
                     self._batch_eval = None
         return self._batch_eval
 
+    def _evaluate_masked(self, masks: Sequence[int]) -> tuple[list[int], bool]:
+        """Outputs of rows restricted to ``table ∩ mask``, and whether the
+        batch engine served them (else the per-row restricted pipeline).
+
+        Under ``sanitize`` every kernel output is checked against the
+        interpreted plan (while no Cell fault has been injected: a faulty
+        pipeline is no oracle), and every output against the plan's
+        feasible region: masked rows restrict the *input* table, so the
+        region still over-approximates each output.
+        """
+        engine = self._batch_engine()
+        if engine is None:
+            outs = [
+                self._compiled.evaluate_restricted(self._smbm, m).value
+                for m in masks
+            ]
+            self._evaluations += len(masks)
+        else:
+            outs = engine.evaluate_masks(self._smbm, masks)
+        if self._sanitize:
+            oracle = self._codegen is not None and not self._cells_faulted()
+            for mask, out in zip(masks, outs):
+                if oracle:
+                    self._check_kernel_output(
+                        out,
+                        self._compiled.evaluate_restricted(
+                            self._smbm, mask).value,
+                        mask,
+                    )
+                self._check_semantic_containment(out)
+        return outs, engine is not None
+
     def evaluate_batch(
         self, packets: "Sequence[Packet] | PacketBatch"
     ) -> PacketBatch:
@@ -894,8 +931,8 @@ class FilterModule:
           policy collapse to a *single* policy evaluation per batch — the
           version-keyed memo now effectively keys on the batch signature
           ``(smbm.version, uniform)``, and the result is broadcast;
-        * **masked rows** run through the batch engine (the codegen batch
-          kernel when armed, else the interpreted columnar evaluator);
+        * **masked rows** run through the plan's kernel when it has one,
+          else the interpreted columnar evaluator;
         * anything neither tier can express (stateful policies,
           caller-supplied inputs) falls back to the scalar per-row path,
           preserving exact per-packet semantics.
@@ -931,24 +968,11 @@ class FilterModule:
                 self._batch_fallback_rows += len(uniform)
         if masked:
             row_masks = [masks[i] for i in masked]  # type: ignore[index]
-            engine = self._batch_engine()
-            if engine is not None:
-                outs = engine.evaluate_masks(self._smbm, row_masks)
+            outs, by_engine = self._evaluate_masked(row_masks)
+            if by_engine:
                 self._batch_engine_rows += len(masked)
             else:
-                outs = [
-                    self._compiled.evaluate_restricted(self._smbm, m).value
-                    for m in row_masks
-                ]
-                self._evaluations += len(masked)
                 self._batch_fallback_rows += len(masked)
-            if self._sanitize:
-                # Masked rows restrict the *input* table; the feasible
-                # region still over-approximates every output row, so the
-                # batched tiers are held to the same soundness contract
-                # as the scalar path.
-                for out in outs:
-                    self._check_semantic_containment(out)
             for i, out in zip(masked, outs):
                 outputs[i] = out
         selected = batch.selected

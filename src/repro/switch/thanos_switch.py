@@ -50,7 +50,6 @@ class ThanosSwitch:
         egress_stages: list[MatchActionStage] | None = None,
         *,
         lfsr_seed: int = 1,
-        codegen: bool = False,
         tenants: "TenantManager | None" = None,
     ):
         if (policy is None) == (tenants is None):
@@ -68,7 +67,7 @@ class ThanosSwitch:
             assert policy is not None
             self._filter: FilterModule | None = FilterModule(
                 capacity, metric_names, policy, params,
-                lfsr_seed=lfsr_seed, codegen=codegen,
+                lfsr_seed=lfsr_seed,
             )
             hook = self._filter.hook
         else:

@@ -73,7 +73,6 @@ class TenantSpec:
     memoize: bool = True
     self_healing: bool = False
     sanitize: bool = False
-    codegen: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -340,7 +339,6 @@ class TenantManager:
                 memoize=spec.memoize,
                 self_healing=spec.self_healing,
                 sanitize=spec.sanitize,
-                codegen=spec.codegen,
                 tenant=spec.name,
                 reserved_cells=tenant_slice.reserved_cells(self._params),
                 input_lines=tenant_slice.lines,

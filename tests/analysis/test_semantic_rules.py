@@ -596,7 +596,9 @@ def test_live_seeded_regions_are_sound(policy, seed):
 def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
     """The half-dead union across interpreted, batched and codegen
     serving, sanitizer armed: the dead arm never contributes a row and
-    the containment assert stays silent."""
+    the containment assert stays silent.  ``verify=False`` builds have no
+    kernel (interpreted pipeline + columnar walk); verified builds serve
+    through the kernel, checked against the interpreted plan."""
     def build():
         return Policy(
             union(_dead_predicate("cpu"),
@@ -606,11 +608,12 @@ def test_unreachable_regions_receive_zero_packets_on_all_three_paths():
 
     dead_path = (0,)
     outputs = []
-    for codegen in (False, True):
+    for verify in (False, True):
         rng = random.Random(7)  # identical tables on both paths
         policy = build()
         module = FilterModule(CAPACITY, METRICS, policy,
-                              sanitize=True, codegen=codegen)
+                              sanitize=True, verify=verify)
+        assert (module.codegen is not None) == verify
         for rid in range(10):
             module.update_resource(
                 rid, {m: rng.randrange(256) for m in METRICS}

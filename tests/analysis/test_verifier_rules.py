@@ -190,7 +190,7 @@ def test_th011_contradictory_predicates():
 
 def test_th012_codegen_ineligible():
     """Every specialization blocker yields a TH012 warning; eligible plans
-    verify clean and clean means the compiler attaches a codegen tier."""
+    verify clean and clean means the compiler attaches a kernel."""
     from repro.core.policy import random_pick
 
     verifier = PlanVerifier(schema=SCHEMA)
@@ -220,18 +220,22 @@ def test_th012_codegen_ineligible():
         Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA, naive=True,
     )
     assert rules_of(verifier.verify_codegen(naive)) == ["TH012"]
-    # Eligible plan: clean, and codegen=True attaches the tier.
+    # Every blocked plan compiles without a kernel, and the verifying
+    # compile does not copy TH012 into the lint findings.
+    for blocked in (stateful, indexed, tapped, naive):
+        assert blocked.codegen is None
+        assert "TH012" not in {f.rule for f in blocked.lint_findings}
+    # Eligible plan: clean, and the verifying compile attaches the kernel.
     plain = compiler.compile(
-        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA, codegen=True,
+        Policy(min_of(TableRef(), "q"), name="t"), schema=SCHEMA,
     )
     assert verifier.verify_codegen(plain).clean
     assert plain.codegen is not None
-    # Ineligible + codegen=True: compiles, carries TH012, no tier attached.
-    flagged = compiler.compile(
-        Policy(random_pick(TableRef()), name="t"), schema=SCHEMA, codegen=True,
+    # verify=False: never a kernel, whatever the plan.
+    unverified = compiler.compile(
+        Policy(min_of(TableRef(), "q"), name="t"), verify=False,
     )
-    assert flagged.codegen is None
-    assert "TH012" in {f.rule for f in flagged.lint_findings}
+    assert unverified.codegen is None
 
 
 def test_error_findings_raise_with_shared_context():

@@ -4,8 +4,10 @@
 looping :meth:`FilterModule.evaluate` (uniform rows) /
 :meth:`CompiledPolicy.evaluate_restricted` (masked rows) — across
 randomized policies, random per-row candidate masks, table mutations
-between batches, the pure-Python fallback and (when installed) the numpy
-lane, and stateful policies served by the per-row fallback path.
+between batches, both masked-row engines (the specialized kernel of a
+verified plan and the interpreted :class:`BatchedEvaluator` of a
+``verify=False`` build), and stateful policies served by the per-row
+fallback path.
 """
 
 from __future__ import annotations
@@ -30,18 +32,13 @@ from repro.core.policy import (
     union,
 )
 from repro.core.smbm import SMBM
-from repro.engine import HAVE_NUMPY, MIN_NUMPY_ROWS, BatchedEvaluator
-from repro.engine import _np as np_guard
+from repro.engine import BatchedEvaluator
 from repro.errors import CompilationError, ConfigurationError
 from repro.switch.filter_module import FilterModule, PacketBatch
 
 CAP = 32
 METRICS = ("a", "b")
 VALUE_RANGE = 16
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (the [batch] extra)"
-)
 
 
 def _random_write(rng: random.Random, smbm: SMBM) -> None:
@@ -144,12 +141,12 @@ def _check_batch_matches_scalar(module: FilterModule,
 
 
 class TestBatchVsScalarDifferential:
-    """Randomized policies x masks x table mutations, both lanes."""
+    """Randomized policies x masks x table mutations, both engines."""
 
-    def _run(self, rng: random.Random, *, rounds: int) -> int:
+    def _run(self, rng: random.Random, *, rounds: int, **kwargs) -> int:
         cases = 0
         for round_no in range(rounds):
-            module = _build_module(rng, f"p{round_no}")
+            module = _build_module(rng, f"p{round_no}", **kwargs)
             for _ in range(rng.randrange(3, 30)):
                 _random_write(rng, module.smbm)
             for _ in range(3):
@@ -164,32 +161,40 @@ class TestBatchVsScalarDifferential:
             cases += uniform.size
         return cases
 
-    def test_randomized_cases_fallback_lane(self, rng, monkeypatch):
-        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
+    def test_randomized_cases_fallback_lane(self, rng):
+        """``verify=False`` builds have no kernel: masked rows take the
+        interpreted int-mask walk of :class:`BatchedEvaluator`."""
+        assert self._run(rng, rounds=20, verify=False) >= 200
+
+    def test_randomized_kernel_lane(self, rng):
+        """Verified builds serve masked rows through the plan's kernel."""
         assert self._run(rng, rounds=20) >= 200
 
-    @needs_numpy
-    def test_randomized_cases_numpy_lane(self, rng):
-        assert self._run(rng, rounds=20) >= 200
-
-    @needs_numpy
-    def test_lanes_agree_bit_for_bit(self, rng, monkeypatch):
-        """The numpy kernels and the pure-Python fallback are the same
-        function: identical outputs on identical batches."""
-        module = _build_module(rng, "lane")
-        for _ in range(20):
-            _random_write(rng, module.smbm)
-        batch_np = _random_masked_batch(rng, MIN_NUMPY_ROWS * 3)
-        batch_py = PacketBatch(
-            batch_np.size,
-            request=list(batch_np.request),
-            input_masks=list(batch_np.input_masks),
+    def test_lanes_agree_bit_for_bit(self, rng):
+        """The specialized kernel and the interpreted columnar walk are the
+        same function: identical outputs on identical 24-row batches."""
+        verified = _build_module(rng, "lane")
+        assert verified.codegen is not None
+        unverified = FilterModule(
+            CAP, METRICS, verified.policy, PipelineParams(), verify=False,
         )
-        module.evaluate_batch(batch_np)
-        monkeypatch.setattr(np_guard, "HAVE_NUMPY", False)
-        module.evaluate_batch(batch_py)
-        assert batch_np.outputs == batch_py.outputs
-        assert batch_np.selected == batch_py.selected
+        assert unverified.codegen is None
+        for _ in range(20):
+            rid = rng.randrange(CAP)
+            metrics = {m: rng.randrange(VALUE_RANGE) for m in METRICS}
+            verified.update_resource(rid, metrics)
+            unverified.update_resource(rid, metrics)
+        batch_kernel = _random_masked_batch(rng, 24)
+        batch_walk = PacketBatch(
+            batch_kernel.size,
+            request=list(batch_kernel.request),
+            input_masks=list(batch_kernel.input_masks),
+        )
+        verified.evaluate_batch(batch_kernel)
+        unverified.evaluate_batch(batch_walk)
+        assert batch_kernel.outputs == batch_walk.outputs
+        assert batch_kernel.selected == batch_walk.selected
+        _check_batch_matches_scalar(unverified, batch_walk)
 
 
 class TestServingPaths:

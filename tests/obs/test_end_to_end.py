@@ -18,9 +18,12 @@ METRICS = ("a", "b")
 
 
 def _run_workload(reg: obs.MetricsRegistry) -> FilterModule:
+    # Self-healing: every memo miss traverses the Cells (a kernel-served
+    # miss never touches them), so the per-cell series accrue.
     module = FilterModule(
         CAP, METRICS,
         Policy(predicate(TableRef(), "a", RelOp.LT, 8), name="e2e"),
+        self_healing=True,
     )
     for rid in range(8):
         module.update_resource(rid, {"a": rid * 2, "b": rid})

@@ -16,7 +16,11 @@ from repro import obs
 from repro.analysis.conformance import verify_checkpoint_roundtrip
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, intersection, min_of, predicate
-from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
+from repro.engine.batch import (
+    META_FILTER_INPUT,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+)
 from repro.errors import ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
@@ -56,15 +60,18 @@ def _make_backend(cls):
 
 def _schedule():
     """A deterministic mixed schedule: probes (table writes on the wire)
-    interleaved with filtering data packets, for two tenants."""
+    interleaved with filtering data packets, for two tenants.  Every
+    third data packet carries a candidate mask (``META_FILTER_INPUT``)."""
     steps = []
     for i in range(40):
         tenant = "a" if i % 2 else "b"
         if i % 5 == 0:
             steps.append(("probe", tenant, i % 8,
                           {"cpu": (i * 13) % 100, "mem": (i * 7) % 50}))
+        elif i % 3 == 0:
+            steps.append(("data", tenant, 0b1111 << (i % 5)))
         else:
-            steps.append(("data", tenant))
+            steps.append(("data", tenant, None))
     return steps
 
 
@@ -77,8 +84,10 @@ def _traffic(codec: ProbeCodec, steps):
             _, tenant, rid, metrics = step
             packet = parser.parse(codec.encode(rid, metrics))
         else:
-            _, tenant = step
+            _, tenant, mask = step
             packet = Packet(metadata={META_FILTER_REQUEST: 1})
+            if mask is not None:
+                packet.metadata[META_FILTER_INPUT] = mask
         packet.metadata[META_TENANT] = tenant
         packets.append(packet)
     return packets
@@ -95,8 +104,13 @@ def _golden_traces(steps):
             _, tenant, rid, metrics = step
             modules[tenant].update_resource(rid, metrics)
         else:
-            _, tenant = step
-            traces[tenant].append(modules[tenant].evaluate().value)
+            _, tenant, mask = step
+            module = modules[tenant]
+            if mask is None:
+                traces[tenant].append(module.evaluate().value)
+            else:
+                traces[tenant].append(module.compiled.evaluate_restricted(
+                    module.smbm, mask).value)
     return traces
 
 
@@ -118,7 +132,11 @@ def test_backend_matches_solo_module_oracle(cls):
 
 
 def test_backends_serve_identical_traces():
+    """Masked packets included: the scalar hook restricts to table ∩ mask
+    exactly like the batch path, so the backends differ only in batch
+    size."""
     steps = _schedule()
+    assert any(step[0] == "data" and step[2] is not None for step in steps)
     scalar = _run(_make_backend(ScalarBackend), steps)
     batched = _run(_make_backend(BatchedBackend), steps)
     assert scalar == batched

@@ -9,6 +9,9 @@ not merely plausible.
 from __future__ import annotations
 
 import asyncio
+import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -18,9 +21,10 @@ from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.serving._atomic import canonical_bytes
 from repro.serving.backend import ScalarBackend
+from repro.serving.checkpoint import load_checkpoint
 from repro.serving.controller import Controller
 from repro.serving.recovery import recover
-from repro.serving.wal import WriteAheadLog, read_wal
+from repro.serving.wal import WriteAheadLog, read_wal, spec_from_dict
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -342,3 +346,43 @@ def test_th016_replay_coverage_is_clean():
                                   "renamed_op": object()})
     assert [f.rule for f in dead.errors] == ["TH016"]
     assert "renamed_op" in dead.errors[0].message
+
+
+#: A WAL and its mid-log checkpoint written by an earlier release whose
+#: admission specs still carried a ``codegen`` flag (tenant "a" admitted
+#: with ``codegen=True``, tenant "b" with ``codegen=False``).
+LEGACY_DIR = pathlib.Path(__file__).parent / "data" / "legacy_codegen"
+
+
+def test_legacy_codegen_flag_records_still_decode_and_replay(tmp_path):
+    for name in ("ops.wal", "legacy.ckpt"):
+        shutil.copy(LEGACY_DIR / name, tmp_path / name)
+    scan = read_wal(tmp_path / "ops.wal")
+    admits = [r for r in scan.records if r.kind == "add_tenant"]
+    assert [r.args["spec"]["codegen"] for r in admits] == [True, False]
+    assert [spec_from_dict(r.args["spec"]).name for r in admits] == ["a", "b"]
+    raw = json.loads((tmp_path / "legacy.ckpt").read_text())
+    assert raw["payload"]["tenants"][0]["codegen"] is True
+    assert [t.name for t in load_checkpoint(tmp_path / "legacy.ckpt").tenants
+            ] == ["a"]
+
+    report = recover(tmp_path / "ops.wal", _factory)
+    assert report.restored_tenants == 1 and not report.errors
+    assert report.skipped == 5 and report.replayed == 3
+
+    # Golden twin: the same schedule admitted by today's specs.
+    golden = _backend()
+
+    async def run() -> None:
+        async with Controller(golden) as ctl:
+            await ctl.add_tenant(_spec("a"))
+            for i in range(4):
+                await ctl.update_resource("a", i, {"cpu": 10 - i, "mem": i})
+            await ctl.add_tenant(_spec("b", "pred"))
+            await ctl.update_resource("b", 1, {"cpu": 9, "mem": 2})
+            await ctl.update_resource("a", 5, {"cpu": 1, "mem": 7})
+
+    asyncio.run(run())
+    assert _state(report.backend) == _state(golden)
+    for name in ("a", "b"):
+        assert report.backend.manager.get(name).module.codegen is not None

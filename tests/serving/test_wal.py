@@ -109,17 +109,16 @@ def test_missing_file_and_foreign_header_read_as_empty(tmp_path):
 def test_spec_roundtrip_through_wal_args():
     spec = TenantSpec(name="alpha", policy=_policy("pred"), smbm_quota=8,
                       columns=2, cell_quota=3, lfsr_seed=11, memoize=True,
-                      self_healing=True, sanitize=True, codegen=False)
+                      self_healing=True, sanitize=True)
     rebuilt = spec_from_dict(spec_to_dict(spec))
     # Policy node-ids are globally allocated, so compare the canonical
     # serialized forms (what the WAL and replay actually exchange).
     assert spec_to_dict(rebuilt) == spec_to_dict(spec)
     assert (rebuilt.name, rebuilt.smbm_quota, rebuilt.columns,
             rebuilt.cell_quota, rebuilt.lfsr_seed, rebuilt.memoize,
-            rebuilt.self_healing, rebuilt.sanitize, rebuilt.codegen) == (
+            rebuilt.self_healing, rebuilt.sanitize) == (
         spec.name, spec.smbm_quota, spec.columns, spec.cell_quota,
-        spec.lfsr_seed, spec.memoize, spec.self_healing, spec.sanitize,
-        spec.codegen)
+        spec.lfsr_seed, spec.memoize, spec.self_healing, spec.sanitize)
     with pytest.raises(WalError):
         spec_from_dict({"name": "broken"})
 

@@ -30,7 +30,6 @@ METRICS = ("q", "load")
 #: kwargs that turn it on.  "tenant" is a mode, not a boolean: it is
 #: enabled by any of the slicing parameters.
 FLAG_KWARGS = {
-    "codegen": {"codegen": True},
     "self_healing": {"self_healing": True},
     "naive": {"naive": True},
     "sanitize": {"sanitize": True},
@@ -44,8 +43,6 @@ FLAG_KWARGS = {
 
 #: The pairs that must conflict; every other pair must construct.
 CONFLICTS = {
-    frozenset({"codegen", "self_healing"}),
-    frozenset({"codegen", "naive"}),
     frozenset({"naive", "tenant"}),
 }
 
@@ -87,16 +84,17 @@ def test_each_flag_alone_constructs(flag: str):
 
 
 def test_all_conflicts_reported_at_once():
-    """codegen + self_healing + naive violates two pairs; the single
-    raised error lists both, machine-readably."""
+    """naive + every tenant-slicing parameter (+ compatible flags) is one
+    violated pair; the single raised error lists exactly it,
+    machine-readably."""
     with pytest.raises(ConfigError) as exc_info:
-        _build(codegen=True, self_healing=True, naive=True)
+        _build(naive=True, self_healing=True, sanitize=True,
+               **FLAG_KWARGS["tenant"])
     err = exc_info.value
     assert set(map(frozenset, err.conflicts)) == {
-        frozenset({"codegen", "self_healing"}),
-        frozenset({"codegen", "naive"}),
+        frozenset({"naive", "tenant"}),
     }
-    assert "codegen" in str(err) and "self_healing" in str(err)
+    assert "naive" in str(err) and "tenant" in str(err)
 
 
 def test_tenant_mode_triggers_on_any_slicing_parameter():
