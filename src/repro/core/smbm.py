@@ -29,6 +29,8 @@ the hardware-behaviour tests.
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
+from operator import itemgetter, or_
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -58,51 +60,59 @@ STORED_WORD_BITS = 64
 class MetricIndex:
     """Rank/mask arrays over one metric dimension: the read fast path.
 
-    Built from the metric's sorted flat list (value, seq, id) entries, it
-    keeps three parallel arrays:
+    Built from the metric's sorted flat list of (value, seq, id) entries,
+    it keeps two parallel arrays:
 
     * ``values[r]`` — the value of the entry at rank ``r`` (sorted, FIFO
       ties), so a relational bound becomes a :func:`bisect` over ranks;
-    * ``ids[r]`` — the resource id of the entry at rank ``r`` (the batched
-      engine's rank-order permutation: reordering an id-indexed column by
-      ``ids`` turns min/max-k into "first/last k set bits");
-    * ``prefix[r]`` — id-bitmask (plain int) of entries with rank < ``r``;
-    * ``suffix[r]`` — id-bitmask of entries with rank >= ``r``.
+    * ``prefix[r]`` — id-bitmask (plain int) of the entries with rank < ``r``.
 
-    A predicate ``attr ∘ val`` is then two bisects plus
-    ``prefix[hi] & ~prefix[lo] & input``; min/max are a binary search for
-    the lowest/highest rank whose prefix/suffix mask intersects the input —
-    O(log N) integer ANDs instead of an O(N) Python tuple scan.  This is the
-    software analogue of the hardware evaluating against the already-sorted
-    flip-flop lists every cycle.
+    The mask of the entries with rank >= ``r`` is derived, not stored:
+    ``prefix[-1] ^ prefix[r]``.  A predicate ``attr ∘ val`` is then two
+    bisects plus ``prefix[hi] & ~prefix[lo] & input``; min/max are a binary
+    search for the lowest/highest rank whose prefix/suffix mask intersects
+    the input — O(log N) integer ANDs instead of an O(N) Python tuple scan.
+    This is the software analogue of the hardware evaluating against the
+    already-sorted flip-flop lists every cycle.
 
-    Indexes are immutable snapshots: the owning :class:`SMBM` rebuilds one
-    lazily when its :attr:`SMBM.version` has moved past the index's build
-    version (reads vastly outnumber writes in every workload, so the O(N)
-    rebuild amortises away).
+    An index is never mutated: kernels pin its bound methods.  When an
+    :meth:`SMBM.update` moves one entry, the owning :class:`SMBM` patches a
+    current index that has been read since it was built or last patched
+    into a new one (:meth:`moved`, the software shift-and-write); any other
+    write leaves the index for a lazy rebuild on the next read.
     """
 
-    __slots__ = ("values", "ids", "prefix", "suffix")
+    __slots__ = ("values", "prefix")
 
     def __init__(self, entries: Sequence[tuple[int, int, int]]):
-        n = len(entries)
-        self.values = [value for value, _seq, _rid in entries]
-        self.ids = [rid for _value, _seq, rid in entries]
-        prefix = [0] * (n + 1)
-        acc = 0
-        for r, (_value, _seq, rid) in enumerate(entries):
-            acc |= 1 << rid
-            prefix[r + 1] = acc
-        self.prefix = prefix
-        suffix = [0] * (n + 1)
-        acc = 0
-        for r in range(n - 1, -1, -1):
-            acc |= 1 << entries[r][2]
-            suffix[r] = acc
-        self.suffix = suffix
+        self.values = list(map(itemgetter(0), entries))
+        self.prefix = list(accumulate(
+            map((1).__lshift__, map(itemgetter(2), entries)), or_, initial=0,
+        ))
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def moved(self, old: int, new: int, value: int, rid: int) -> MetricIndex:
+        """A new index with the entry at rank ``old`` moved to rank ``new``.
+
+        ``value`` is the entry's (possibly rewritten) value and ``rid`` its
+        resource id; ``new`` is its rank in the list after the move.  Only
+        the prefixes between the two ranks change, each by the moved bit.
+        """
+        values = self.values.copy()
+        del values[old]
+        values.insert(new, value)
+        prefix = self.prefix.copy()
+        bit = 1 << rid
+        if new < old:
+            prefix[new + 1:old + 1] = map(bit.__xor__, prefix[new:old])
+        elif new > old:
+            prefix[old + 1:new + 1] = map(bit.__xor__, prefix[old + 2:new + 2])
+        index = MetricIndex.__new__(MetricIndex)
+        index.values = values
+        index.prefix = prefix
+        return index
 
     def predicate_mask(self, rel_op: RelOp, val: int, input_bits: int) -> int:
         """Ids from ``input_bits`` whose value satisfies ``value ∘ val``."""
@@ -122,7 +132,8 @@ class MetricIndex:
         elif rel_op is RelOp.NE:
             lo = bisect.bisect_left(values, val)
             hi = bisect.bisect_right(values, val)
-            return (self.prefix[lo] | self.suffix[hi]) & input_bits
+            prefix = self.prefix
+            return (prefix[lo] | (prefix[-1] ^ prefix[hi])) & input_bits
         else:  # pragma: no cover - exhaustive over RelOp
             raise ConfigurationError(f"unhandled relational operator {rel_op}")
         return self.prefix[hi] & ~self.prefix[lo] & input_bits
@@ -148,20 +159,23 @@ class MetricIndex:
     def max_mask(self, input_bits: int) -> int:
         """One-hot mask of the highest-rank entry present in ``input_bits``.
 
-        Mirror image of :meth:`min_mask` over the suffix masks; the last
-        valid entry is the maximum (latest-enqueued among equal values),
-        matching the reference path's last-one priority encoder.
+        Mirror image of :meth:`min_mask` over the suffix masks
+        ``prefix[-1] ^ prefix[r]``; the last valid entry is the maximum
+        (latest-enqueued among equal values), matching the reference path's
+        last-one priority encoder.
         """
-        if not (self.suffix[0] & input_bits):
+        prefix = self.prefix
+        total = prefix[-1]
+        if not (total & input_bits):
             return 0
         lo, hi = 0, len(self.values) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self.suffix[mid] & input_bits:
+            if (total ^ prefix[mid]) & input_bits:
                 lo = mid
             else:
                 hi = mid - 1
-        return self.suffix[lo] & input_bits
+        return (total ^ prefix[lo]) & input_bits
 
 
 class SMBM:
@@ -207,8 +221,14 @@ class SMBM:
         # Monotonic write counter: bumped by every committed add/delete.
         # Readers key caches (metric indexes, memoized policy outputs) on it.
         self._version = 0
-        # Lazily rebuilt per-metric fast-path indexes: name -> (version, index).
+        # Per-metric fast-path indexes served to readers: name -> (version,
+        # index).  Rebuilt lazily by the first read after a write.
         self._indexes: dict[str, tuple[int, MetricIndex]] = {}
+        # Indexes an update patched from a current, served one, waiting for
+        # their first read (which moves them to ``_indexes``).  Only served
+        # indexes are patched, so a read-free write burst patches each
+        # metric at most once and then falls back to one lazy rebuild.
+        self._patched: dict[str, tuple[int, MetricIndex]] = {}
         # Committed-write listeners (parity/ECC maintenance, replication
         # shims).  Writes are rare relative to reads, so the notify cost
         # stays off the packet fast path entirely.
@@ -240,6 +260,10 @@ class SMBM:
         self._obs_rebuilds = registry.counter(
             "smbm_index_rebuilds_total", tlabels or None,
             help="lazy MetricIndex rebuilds after a table write",
+        )
+        self._obs_patches = registry.counter(
+            "smbm_index_patches_total", tlabels or None,
+            help="current MetricIndexes patched in place of a rebuild by an update",
         )
         if registry.enabled:
             registry.add_hook(self._obs_collect)
@@ -359,9 +383,34 @@ class SMBM:
                 listener("delete", resource_id, None)
 
     def update(self, resource_id: int, metrics: Mapping[str, int]) -> None:
-        """Composite update: delete followed by add, as the paper prescribes."""
+        """Composite update: delete followed by add, as the paper prescribes.
+
+        The update moves one entry in each metric list, so every index that
+        is current when it starts and has been read since it was built or
+        last patched is patched for that move (:meth:`MetricIndex.moved`)
+        instead of left for a rebuild.  Any other index stays stale for the
+        next read to rebuild: at most one patch per metric per read.
+        """
+        version = self._version
+        # Every ``_indexes`` entry has been served: a read built it or
+        # adopted it from ``_patched``.
+        moves = [
+            (name, index, self.rank_of(resource_id, name))
+            for name, (built, index) in self._indexes.items()
+            if built == version
+        ] if resource_id in self._rows else []
         self.delete(resource_id)
         self.add(resource_id, metrics)
+        if not moves:
+            return
+        row = self._rows[resource_id]
+        for name, index, old in moves:
+            new = self.rank_of(resource_id, name)
+            self._patched[name] = (
+                self._version, index.moved(old, new, row[name], resource_id))
+        self._obs_patches.inc(len(moves))
+        if self._sanitize:
+            self._sanitize_listener("update", resource_id, None)
 
     @property
     def sanitize(self) -> bool:
@@ -430,6 +479,7 @@ class SMBM:
         # The corrupted flop is read from the next cycle on: drop the cached
         # snapshot so fast-path reads rebuild against the flipped word.
         self._indexes.pop(metric, None)
+        self._patched.pop(metric, None)
         return old, new
 
     def repair_row(self, resource_id: int, corrected: Mapping[str, int]) -> list[str]:
@@ -492,11 +542,15 @@ class SMBM:
     def metric_index(self, metric: str) -> MetricIndex:
         """The fast-path :class:`MetricIndex` for one metric dimension.
 
-        Rebuilt lazily: an index built at the current :attr:`version` is
-        reused verbatim; the first read after a write rebuilds it in O(N).
+        An index current at :attr:`version` (built or patched there) is
+        reused verbatim; otherwise the read rebuilds it in O(N).
         """
         cached = self._indexes.get(metric)
         if cached is not None and cached[0] == self._version:
+            return cached[1]
+        cached = self._patched.pop(metric, None)
+        if cached is not None and cached[0] == self._version:
+            self._indexes[metric] = cached
             return cached[1]
         if metric not in self._metric_lists:
             raise ConfigurationError(
@@ -506,6 +560,15 @@ class SMBM:
         self._indexes[metric] = (self._version, index)
         self._obs_rebuilds.inc()
         return index
+
+    def _current_index(self, metric: str) -> MetricIndex | None:
+        """The cached index current at :attr:`version`, read yet or not;
+        None (building nothing) when there is none."""
+        for cache in (self._indexes, self._patched):
+            cached = cache.get(metric)
+            if cached is not None and cached[0] == self._version:
+                return cached[1]
+        return None
 
     def metric_of(self, resource_id: int, metric: str) -> int:
         """Forward map: id -> metric value."""
@@ -555,7 +618,8 @@ class SMBM:
 
         * every dimension list is sorted (FIFO among equal values);
         * forward and reverse maps agree on every entry;
-        * all lists have exactly one entry per stored resource.
+        * all lists have exactly one entry per stored resource;
+        * every index current at :attr:`version` equals a fresh build.
         """
         n = len(self._rows)
         if len(self._id_list) != n:
@@ -577,12 +641,20 @@ class SMBM:
                     raise SimulationError(
                         f"forward/reverse maps disagree for id {rid} metric {name}"
                     )
-            index = self.metric_index(name)
-            if index.values != [value for value, _seq, _rid in lst]:
+            # Only an index current at this version can be served to
+            # readers; a stale one is never read before its rebuild, so it
+            # is not built here (that would check a fresh build against its
+            # own source and count a rebuild no reader asked for).
+            index = self._current_index(name)
+            if index is None:
+                continue
+            fresh = MetricIndex(lst)
+            if index.values != fresh.values:
                 raise SimulationError(f"{name} fast-path index values out of date")
-            if index.prefix[-1] != self._id_bits or index.suffix[0] != self._id_bits:
+            if index.prefix != fresh.prefix or fresh.prefix[-1] != self._id_bits:
                 raise SimulationError(
-                    f"{name} fast-path index masks disagree with presence bitmask"
+                    f"{name} fast-path index masks disagree with the sorted list "
+                    "or the presence bitmask"
                 )
 
     def snapshot(self) -> dict[int, dict[str, int]]:
@@ -676,6 +748,7 @@ class SMBM:
         self._next_seq = int(state["next_seq"])  # type: ignore[arg-type]
         self._version = int(state["version"])  # type: ignore[arg-type]
         self._indexes.clear()
+        self._patched.clear()
         if self._write_listeners:
             for rid in dropped:
                 for listener in self._write_listeners:

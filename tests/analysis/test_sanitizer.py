@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.policy import Policy, TableRef, min_of
 from repro.core.smbm import SMBM
 from repro.core.ufpu_reference import GoldenOracle
@@ -53,6 +54,36 @@ class TestSmbmSanitize:
         smbm.add(1, {"q": 5})
         smbm.corrupt_stored_bit(1, "q", 3)
         smbm.add(2, {"q": 7})  # commit-time check passes
+
+    def test_tampered_index_caught_after_update_patches_it(self):
+        """A current index is compared in full against a fresh build; the
+        update patches the tampered index, and the check after the update
+        commits (not only the mid-update ones) catches it."""
+        smbm = SMBM(8, ("q",), sanitize=True)
+        for rid, value in enumerate((1, 2, 3, 4)):
+            smbm.add(rid, {"q": value})
+        index = smbm.metric_index("q")
+        index.prefix[2] ^= 1 << 5  # outside the range the update moves
+        with pytest.raises(IntegrityError) as exc_info:
+            smbm.update(3, {"q": 5})
+        assert exc_info.value.component == "smbm"
+        assert "committed update" in str(exc_info.value)
+        assert "fast-path index masks" in str(exc_info.value)
+
+    def test_check_builds_no_index(self):
+        """A stale index is skipped, not rebuilt: sanitized writes leave
+        the rebuild counter to reads."""
+        with obs.use_registry() as reg:
+            smbm = SMBM(8, ("q", "r"), sanitize=True)
+        for rid in range(4):
+            smbm.add(rid, {"q": rid, "r": 0})
+        smbm.update(1, {"q": 7, "r": 1})
+        smbm.delete(2)
+        assert reg.value_of("smbm_index_rebuilds_total") == 0
+        smbm.metric_index("q")
+        smbm.update(0, {"q": 9, "r": 0})
+        assert reg.value_of("smbm_index_rebuilds_total") == 1
+        assert reg.value_of("smbm_index_patches_total") == 1
 
     def test_unsanitized_table_skips_the_check(self):
         smbm = SMBM(8, ("q",))

@@ -1,6 +1,7 @@
 """End-to-end observability: a real registry installed around real pipeline
 components, validated through the exporter output (the acceptance path:
-SMBM rebuild counters, memo hit/miss counters, per-cell activations)."""
+SMBM rebuild and patch counters, memo hit/miss counters, per-cell
+activations)."""
 
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ class TestExporterEndToEnd:
         assert counters['smbm_writes_total{op="add"}'] == 9
         assert counters['smbm_writes_total{op="delete"}'] == 1  # the update
         assert counters["smbm_index_rebuilds_total"] >= 1
+        # The update follows a read, so it patches the read index.
+        assert counters["smbm_index_patches_total"] >= 1
 
         # Memoization accounting agrees exactly with the module's own ints.
         assert counters['filter_evaluations_total{policy="e2e"}'] == 3
@@ -84,6 +87,10 @@ class TestExporterEndToEnd:
         assert 'filter_memo_hits_total{policy="e2e"} 1' in lines
         assert 'filter_memo_misses_total{policy="e2e"} 2' in lines
         assert "# TYPE smbm_index_rebuilds_total counter" in lines
+        assert "# TYPE smbm_index_patches_total counter" in lines
+        patches = [l for l in lines
+                   if l.startswith("smbm_index_patches_total ")]
+        assert patches and float(patches[0].split()[1]) > 0
         assert "# TYPE filter_eval_ns histogram" in lines
         assert any(l.startswith("pipeline_cell_activations_total{")
                    for l in lines)
