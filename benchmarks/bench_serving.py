@@ -1,16 +1,17 @@
-"""Serving-core benchmark: backends, controller, checkpoint, migration.
+"""Serving-core benchmark: serving, controller, checkpoint, migration.
 
-Four measured sections, each with its correctness assert inline:
+Five measured sections, each with its correctness assert inline:
 
 * ``serve`` — packets/s through :meth:`SwitchBackend.process_batch` on
-  the scalar and the batched backend, identical two-tenant tables and an
-  identical mixed request stream; the two backends must produce
-  bit-identical outputs (the conformance oracle, re-checked here at
-  benchmark scale).
+  two seeded tenants, for two streams: one long run of requesting
+  packets (served columnar) and the same packets with a probe every
+  eighth packet (short runs, served per packet).  Every output must
+  equal what per-packet :meth:`SwitchBackend.process` serves on a twin
+  backend fed the same stream.
 * ``control`` — awaited controller ops/s: two concurrent clients stream
-  table updates through one :class:`~repro.serving.controller.Controller`
-  per backend; every op must resolve, and the exporter snapshot must
-  show zero ``outcome="error"`` series.
+  table updates through one
+  :class:`~repro.serving.controller.Controller`; every op must resolve,
+  and the exporter snapshot must show zero ``outcome="error"`` series.
 * ``wal`` — control-op latency with durability on vs off: the same
   pipelined update stream with no WAL and with a ``sync="flush"``
   :class:`~repro.serving.wal.WriteAheadLog` attached (every acked op
@@ -23,8 +24,8 @@ Four measured sections, each with its correctness assert inline:
 * ``checkpoint`` — whole-switch snapshot → save → load → restore wall
   time and file size; every restored tenant must be TH015-clean against
   its source (:func:`repro.analysis.verify_checkpoint_roundtrip`).
-* ``migration`` — begin → dual-run → cutover of one tenant from a scalar
-  to a batched instance; reports the end-to-end move time and dual-write
+* ``migration`` — begin → dual-run → cutover of one tenant between two
+  switch instances; reports the end-to-end move time and dual-write
   count, and the destination must serve the same output immediately
   after cutover that the source served immediately before.
 
@@ -70,11 +71,12 @@ from repro.core.policy import (
 )
 from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
 from repro.rmt.packet import META_TENANT, Packet
+from repro.rmt.probe import ProbeCodec
 from repro.serving import (
     Controller,
     LiveMigration,
+    SwitchBackend,
     WriteAheadLog,
-    build_backend,
     canonical_bytes,
     load_checkpoint,
     recover,
@@ -104,10 +106,10 @@ def _policies() -> dict[str, Policy]:
     }
 
 
-def _build(kind: str, rows: int, seed: int):
+def _build(rows: int, seed: int) -> SwitchBackend:
     """One backend with both tenants admitted and seeded tables."""
     manager = TenantManager(METRICS, smbm_capacity=64)
-    backend = build_backend(kind, manager)
+    backend = SwitchBackend(manager)
     rng = random.Random(seed)
     for name, policy in _policies().items():
         backend.program_tenant(TenantSpec(name, policy, smbm_quota=rows))
@@ -118,49 +120,63 @@ def _build(kind: str, rows: int, seed: int):
     return backend
 
 
-def _stream(n: int) -> list[Packet]:
-    return [
-        Packet(metadata={META_FILTER_REQUEST: 1,
-                         META_TENANT: TENANTS[i % len(TENANTS)]})
-        for i in range(n)
-    ]
+#: One probe per this many packets on the short-run ``serve`` stream.
+_PROBE_PERIOD = 8
 
 
-# -- serve: scalar vs batched over the same table --------------------------------
+def _stream(n: int, rows: int, probes: bool, seed: int) -> list[Packet]:
+    """``n`` packets alternating between the tenants; with ``probes``,
+    every ``_PROBE_PERIOD``-th is a probe rewriting a seeded row."""
+    codec = ProbeCodec(METRICS)
+    parser = codec.build_parser()
+    rng = random.Random(seed)
+    packets = []
+    for i in range(n):
+        tenant = TENANTS[i % len(TENANTS)]
+        if probes and i % _PROBE_PERIOD == 0:
+            packet = parser.parse(codec.encode(
+                rng.randrange(rows),
+                {"cpu": rng.randrange(100), "mem": rng.randrange(64)}))
+            packet.metadata[META_TENANT] = tenant
+        else:
+            packet = Packet(metadata={META_FILTER_REQUEST: 1,
+                                      META_TENANT: tenant})
+        packets.append(packet)
+    return packets
+
+
+# -- serve: long runs (columnar) and short runs (per packet) ---------------------
 
 
 def bench_serve(rows: int, n_packets: int, reps: int, seed: int) -> dict:
-    outputs: dict[str, list[int]] = {}
-    timings: dict[str, float] = {}
-    for kind in ("scalar", "batched"):
-        backend = _build(kind, rows, seed)
+    result: dict[str, object] = {"rows": rows, "n_packets": n_packets}
+    for name, probes in (("long_run", False), ("short_run", True)):
+        backend = _build(rows, seed)
+        twin = _build(rows, seed)
         best = float("inf")
-        for _ in range(reps):
-            packets = _stream(n_packets)
+        for rep in range(reps):
+            packets = _stream(n_packets, rows, probes, seed + rep)
             t0 = time.perf_counter()
             backend.process_batch(packets)
             best = min(best, time.perf_counter() - t0)
-            outputs[kind] = [p.metadata[META_FILTER_OUTPUT]
-                             for p in packets]
-        timings[kind] = best
-    assert outputs["scalar"] == outputs["batched"], (
-        "backends diverged on the identical stream"
-    )
-    return {
-        "rows": rows,
-        "n_packets": n_packets,
-        "scalar_pkts_per_s": round(n_packets / timings["scalar"]),
-        "batched_pkts_per_s": round(n_packets / timings["batched"]),
-        "speedup_batched": round(timings["scalar"] / timings["batched"], 2),
-    }
+            reference = _stream(n_packets, rows, probes, seed + rep)
+            for packet in reference:
+                twin.process(packet)
+            assert ([p.metadata.get(META_FILTER_OUTPUT) for p in packets]
+                    == [p.metadata.get(META_FILTER_OUTPUT)
+                        for p in reference]), (
+                f"{name}: process_batch diverged from per-packet process"
+            )
+        result[f"{name}_pkts_per_s"] = round(n_packets / best)
+    return result
 
 
 # -- control: awaited controller op throughput ------------------------------------
 
 
 def bench_control(rows: int, writes: int, seed: int) -> dict:
-    async def scenario(kind: str) -> dict:
-        backend = _build(kind, rows, seed)
+    async def scenario() -> dict:
+        backend = _build(rows, seed)
 
         async def client(ctl: Controller, name: str) -> None:
             rng = random.Random(seed + hash(name) % 1000)
@@ -179,8 +195,7 @@ def bench_control(rows: int, writes: int, seed: int) -> dict:
         return {"ops": ops, "seconds": round(seconds, 6),
                 "ops_per_s": round(ops / seconds)}
 
-    return {kind: asyncio.run(scenario(kind))
-            for kind in ("scalar", "batched")}
+    return asyncio.run(scenario())
 
 
 # -- wal: control-op latency with durability on vs off ----------------------------
@@ -194,7 +209,7 @@ _WAL_WINDOW = 32
 
 def bench_wal(rows: int, writes: int, reps: int, seed: int,
               check_overhead: bool) -> dict:
-    """Durability cost on the control path, per backend.
+    """Durability cost on the control path.
 
     Interleaved over ``reps`` rounds of two modes — ``off`` (no WAL)
     and ``durable`` (``sync="flush"``: every acknowledged op is on disk
@@ -221,10 +236,8 @@ def bench_wal(rows: int, writes: int, reps: int, seed: int,
                                 "mem": rng.randrange(64)}))
     spec = TenantSpec("alpha", _policies()["alpha"], smbm_quota=rows)
 
-    async def scenario(kind: str, wal: "WriteAheadLog | None"):
-        backend = build_backend(
-            kind, TenantManager(METRICS, smbm_capacity=64)
-        )
+    async def scenario(wal: "WriteAheadLog | None"):
+        backend = SwitchBackend(TenantManager(METRICS, smbm_capacity=64))
         async with Controller(backend, wal=wal) as ctl:
             await ctl.add_tenant(spec)
             # GC off for the timed region (both modes alike): the other
@@ -250,66 +263,64 @@ def bench_wal(rows: int, writes: int, reps: int, seed: int,
     def _counter(name: str) -> float:
         return registry.value_of(name, {}) or 0
 
-    result: dict[str, dict] = {}
-    for kind in ("scalar", "batched"):
-        best = {"off": float("inf"), "durable": float("inf")}
-        ratios: list[float] = []
-        group_stats = {}
-        for rep in range(reps):
-            off_seconds, _ = asyncio.run(scenario(kind, None))
-            best["off"] = min(best["off"], off_seconds)
-            with tempfile.TemporaryDirectory() as tmp:
-                wal_path = pathlib.Path(tmp) / "ctl.wal"
-                before = {n: _counter(n) for n in
-                          ("wal_appends_total", "wal_frames_total",
-                           "wal_bytes_written_total")}
-                seconds, live = asyncio.run(scenario(
-                    kind, WriteAheadLog(wal_path, sync="flush")
+    best = {"off": float("inf"), "durable": float("inf")}
+    ratios: list[float] = []
+    group_stats = {}
+    for rep in range(reps):
+        off_seconds, _ = asyncio.run(scenario(None))
+        best["off"] = min(best["off"], off_seconds)
+        with tempfile.TemporaryDirectory() as tmp:
+            wal_path = pathlib.Path(tmp) / "ctl.wal"
+            before = {n: _counter(n) for n in
+                      ("wal_appends_total", "wal_frames_total",
+                       "wal_bytes_written_total")}
+            seconds, live = asyncio.run(scenario(
+                WriteAheadLog(wal_path, sync="flush")
+            ))
+            best["durable"] = min(best["durable"], seconds)
+            # Pair each durable run with the off run adjacent in
+            # time: both see the same machine regime, so the ratio
+            # is robust to frequency/throttle drift that independent
+            # best-of-N minima are not.
+            ratios.append(seconds / off_seconds)
+            if rep == reps - 1:
+                appends = _counter("wal_appends_total") - before[
+                    "wal_appends_total"]
+                frames = _counter("wal_frames_total") - before[
+                    "wal_frames_total"]
+                group_stats = {
+                    "wal_records": int(appends),
+                    "wal_frames": int(frames),
+                    "mean_group_size": round(appends / frames, 1),
+                    "wal_bytes": int(
+                        _counter("wal_bytes_written_total")
+                        - before["wal_bytes_written_total"]),
+                }
+                # Golden twin: the log alone rebuilds the switch.
+                report = recover(wal_path, lambda _ckpt: SwitchBackend(
+                    TenantManager(METRICS, smbm_capacity=64)
                 ))
-                best["durable"] = min(best["durable"], seconds)
-                # Pair each durable run with the off run adjacent in
-                # time: both see the same machine regime, so the ratio
-                # is robust to frequency/throttle drift that independent
-                # best-of-N minima are not.
-                ratios.append(seconds / off_seconds)
-                if rep == reps - 1:
-                    appends = _counter("wal_appends_total") - before[
-                        "wal_appends_total"]
-                    frames = _counter("wal_frames_total") - before[
-                        "wal_frames_total"]
-                    group_stats = {
-                        "wal_records": int(appends),
-                        "wal_frames": int(frames),
-                        "mean_group_size": round(appends / frames, 1),
-                        "wal_bytes": int(
-                            _counter("wal_bytes_written_total")
-                            - before["wal_bytes_written_total"]),
-                    }
-                    # Golden twin: the log alone rebuilds the switch.
-                    report = recover(wal_path, lambda _ckpt: build_backend(
-                        kind, TenantManager(METRICS, smbm_capacity=64)
-                    ))
-                    assert not report.unclean, "clean shutdown misread"
-                    assert report.errors == [], report.errors
-                    assert (canonical_bytes(
-                                report.backend.snapshot().payload())
-                            == canonical_bytes(live.snapshot().payload())), (
-                        f"{kind}: replayed switch diverged from live one"
-                    )
-        overhead = max(0.0, statistics.median(ratios) - 1)
-        result[kind] = {
-            "ops": writes,
-            "window": _WAL_WINDOW,
-            "off_us_per_op": round(best["off"] * 1e6 / writes, 2),
-            "durable_us_per_op": round(best["durable"] * 1e6 / writes, 2),
-            "overhead_pct": round(overhead * 100, 1),
-            **group_stats,
-        }
-        if check_overhead:
-            assert overhead < 0.25, (
-                f"{kind}: durable WAL costs {overhead:.0%} on the control "
-                f"path (budget: <25%)"
-            )
+                assert not report.unclean, "clean shutdown misread"
+                assert report.errors == [], report.errors
+                assert (canonical_bytes(
+                            report.backend.snapshot().payload())
+                        == canonical_bytes(live.snapshot().payload())), (
+                    "replayed switch diverged from live one"
+                )
+    overhead = max(0.0, statistics.median(ratios) - 1)
+    result = {
+        "ops": writes,
+        "window": _WAL_WINDOW,
+        "off_us_per_op": round(best["off"] * 1e6 / writes, 2),
+        "durable_us_per_op": round(best["durable"] * 1e6 / writes, 2),
+        "overhead_pct": round(overhead * 100, 1),
+        **group_stats,
+    }
+    if check_overhead:
+        assert overhead < 0.25, (
+            f"durable WAL costs {overhead:.0%} on the control "
+            f"path (budget: <25%)"
+        )
     return result
 
 
@@ -317,7 +328,7 @@ def bench_wal(rows: int, writes: int, reps: int, seed: int,
 
 
 def bench_checkpoint(rows: int, seed: int) -> dict:
-    source = _build("batched", rows, seed)
+    source = _build(rows, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "switch.ckpt"
         t0 = time.perf_counter()
@@ -327,8 +338,7 @@ def bench_checkpoint(rows: int, seed: int) -> dict:
         size = path.stat().st_size
         t0 = time.perf_counter()
         loaded = load_checkpoint(path)
-        restored = build_backend(
-            "scalar",
+        restored = SwitchBackend(
             TenantManager(loaded.metric_names,
                           smbm_capacity=loaded.smbm_capacity),
         )
@@ -350,12 +360,12 @@ def bench_checkpoint(rows: int, seed: int) -> dict:
     }
 
 
-# -- migration: scalar -> batched move under dual writes --------------------------
+# -- migration: a move between two instances under dual writes --------------------
 
 
 def bench_migration(rows: int, dual_writes: int, seed: int) -> dict:
-    src = _build("scalar", rows, seed)
-    dst = build_backend("batched", TenantManager(METRICS, smbm_capacity=64))
+    src = _build(rows, seed)
+    dst = SwitchBackend(TenantManager(METRICS, smbm_capacity=64))
     rng = random.Random(seed + 1)
     migration = LiveMigration(src, dst, "alpha")
     t0 = time.perf_counter()
@@ -416,23 +426,17 @@ def run_bench(quick: bool = False, seed: int = 11) -> dict:
 
 def _report_text(data: dict) -> str:
     serve, mig = data["serve"], data["migration"]
+    ctl, wal = data["control"], data["wal"]
     lines = [
         f"serving bench (quick={data['quick']}, seed={data['seed']}):",
-        f"  serve    scalar {serve['scalar_pkts_per_s']:>10,} pkt/s   "
-        f"batched {serve['batched_pkts_per_s']:>10,} pkt/s   "
-        f"({serve['speedup_batched']}x)",
+        f"  serve    long run {serve['long_run_pkts_per_s']:>10,} pkt/s   "
+        f"short runs {serve['short_run_pkts_per_s']:>10,} pkt/s",
+        f"  control  {ctl['ops_per_s']:>10,} ops/s "
+        f"({ctl['ops']} ops awaited)",
+        f"  wal      off {wal['off_us_per_op']:>6.2f} us/op   "
+        f"durable {wal['durable_us_per_op']:>6.2f} us/op   "
+        f"(+{wal['overhead_pct']}%, group {wal['mean_group_size']})",
     ]
-    for kind, row in data["control"].items():
-        lines.append(
-            f"  control  {kind:7s} {row['ops_per_s']:>10,} ops/s "
-            f"({row['ops']} ops awaited)"
-        )
-    for kind, row in data["wal"].items():
-        lines.append(
-            f"  wal      {kind:7s} off {row['off_us_per_op']:>6.2f} us/op   "
-            f"durable {row['durable_us_per_op']:>6.2f} us/op   "
-            f"(+{row['overhead_pct']}%, group {row['mean_group_size']})"
-        )
     ckpt = data["checkpoint"]
     lines.append(
         f"  ckpt     {ckpt['file_bytes']:,} B  save {ckpt['save_s']*1e3:.2f} ms  "
@@ -468,7 +472,8 @@ def main(argv: list[str] | None = None) -> dict:
 def test_serving_bench_quick():
     """pytest entry point: quick sweep, correctness asserts only."""
     data = run_bench(quick=True)
-    assert data["serve"]["scalar_pkts_per_s"] > 0
+    assert data["serve"]["long_run_pkts_per_s"] > 0
+    assert data["serve"]["short_run_pkts_per_s"] > 0
     assert data["migration"]["zero_loss"]
     assert data["checkpoint"]["roundtrip_findings"] == 0
 

@@ -25,7 +25,7 @@ them, and every phase asserts its recovery invariants inline:
 * **link_flap** — a leaf-spine uplink goes down and comes back; TCP
   retransmission recovers every flow, and the fabric conserves packets.
 * **live_migration** — a tenant moves between two switch instances
-  (scalar → batched) while a controller client keeps writing; one write
+  while a controller client keeps writing; one write
   is injected around the dual-running gate, the cutover conservation
   gate must catch the divergence, and after re-convergence the move
   completes with a served trace bit-identical to a never-migrated twin —
@@ -35,8 +35,7 @@ them, and every phase asserts its recovery invariants inline:
   torn write, after the append, after the apply), restarted from disk,
   and the recovered switch must be bit-identical to a never-crashed
   golden twin — zero acked control ops lost, every torn tail truncated,
-  every unclean shutdown detected.  Runs on both the scalar and batched
-  backends.
+  every unclean shutdown detected.
 
 The run finishes with the **parity check**: for every *detectable* fault
 class (``seu``, ``cell_dead``, ``cell_stuck``, ``replica_divergence``,
@@ -81,9 +80,8 @@ from repro.netsim.topology import build_leaf_spine
 from repro.netsim.transport import TcpFlow
 from repro.rmt.packet import META_TENANT, Packet
 from repro.serving import (
-    BatchedBackend,
     Controller,
-    ScalarBackend,
+    SwitchBackend,
     TableWrite,
     WriteAheadLog,
     canonical_bytes,
@@ -417,8 +415,8 @@ def phase_live_migration(inj: FaultInjector, *, rounds: int) -> dict:
         twin.update_resource(rid, metrics)
         golden.append(twin.evaluate().value)
 
-    src = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
-    dst = BatchedBackend(TenantManager(METRICS, smbm_capacity=16))
+    src = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
+    dst = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
     def serve() -> int:
         post_cutover = "mig" in dst.manager and "mig" not in src.manager
@@ -480,8 +478,7 @@ def phase_live_migration(inj: FaultInjector, *, rounds: int) -> dict:
     )
     # Packet conservation: every serve produced exactly one output.
     counters = obs.snapshot(obs.get_registry()).get("counters", {})
-    served = sum(v for k, v in counters.items()
-                 if k.startswith("backend_packets_total"))
+    served = counters.get("backend_packets_total", 0)
     assert served == rounds == len(out["trace"])
     return {
         "rounds": rounds,
@@ -550,17 +547,13 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
     n_ops = len(ops)
     assert n_ops == 9 and len(_CRASH_APPLIED_BEFORE) == n_ops + 2
 
-    backends = {
-        "scalar": lambda: ScalarBackend(
-            TenantManager(METRICS, smbm_capacity=16)),
-        "batched": lambda: BatchedBackend(
-            TenantManager(METRICS, smbm_capacity=16)),
-    }
-
     def _state(backend) -> bytes:
         return canonical_bytes(backend.snapshot().payload())
 
-    def golden_states(make_backend) -> list[bytes]:
+    def make_backend() -> SwitchBackend:
+        return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
+
+    def golden_states() -> list[bytes]:
         """golden[m] = canonical switch state after m control ops."""
         backend = make_backend()
         states: list[bytes] = []
@@ -575,7 +568,7 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
         asyncio.run(run())
         return states
 
-    async def victim(make_backend, wal_path, ckpt_path, hook):
+    async def victim(wal_path, ckpt_path, hook):
         """One controller life: run the schedule until the armed crash
         point (if any) kills it.  Returns (acked ops, crashed)."""
         backend = make_backend()
@@ -610,55 +603,53 @@ def phase_crash_recovery(inj: FaultInjector) -> dict:
 
     crash_runs = 0
     replayed_total = skipped_total = torn_tails = 0
-    for backend_name, make_backend in backends.items():
-        golden = golden_states(make_backend)
+    golden = golden_states()
 
-        # Baseline: no crash armed — clean shutdown, clean recovery.
+    # Baseline: no crash armed — clean shutdown, clean recovery.
+    with tempfile.TemporaryDirectory() as tmp_str:
+        tmp = pathlib.Path(tmp_str)
+        acked, crashed = asyncio.run(victim(
+            tmp / "ops.wal", tmp / "ckpt.json", None))
+        assert acked == n_ops and not crashed
+        report = recover(tmp / "ops.wal", lambda _ckpt: make_backend())
+        assert not report.unclean and report.torn == 0
+        assert _state(report.backend) == golden[n_ops], (
+            "clean-shutdown replay diverged"
+        )
+
+    for site, at_op, expect_m in sweep:
+        hook = inj.arm_crash(site, at_op=at_op)
         with tempfile.TemporaryDirectory() as tmp_str:
             tmp = pathlib.Path(tmp_str)
+            wal_path = tmp / "ops.wal"
             acked, crashed = asyncio.run(victim(
-                make_backend, tmp / "ops.wal", tmp / "ckpt.json", None))
-            assert acked == n_ops and not crashed
-            report = recover(tmp / "ops.wal", lambda _ckpt: make_backend())
-            assert not report.unclean and report.torn == 0
-            assert _state(report.backend) == golden[n_ops], (
-                f"{backend_name}: clean-shutdown replay diverged"
+                wal_path, tmp / "ckpt.json", hook))
+            tag = f"{site}@{at_op}"
+            assert crashed, f"{tag}: armed crash never fired"
+            # Zero acked-op loss: everything the client saw complete
+            # is inside the recovered state.
+            assert acked <= expect_m, (
+                f"{tag}: {acked} acked ops but only {expect_m} "
+                "survive recovery"
             )
-
-        for site, at_op, expect_m in sweep:
-            hook = inj.arm_crash(site, at_op=at_op)
-            with tempfile.TemporaryDirectory() as tmp_str:
-                tmp = pathlib.Path(tmp_str)
-                wal_path = tmp / "ops.wal"
-                acked, crashed = asyncio.run(victim(
-                    make_backend, wal_path, tmp / "ckpt.json", hook))
-                tag = f"{backend_name}:{site}@{at_op}"
-                assert crashed, f"{tag}: armed crash never fired"
-                # Zero acked-op loss: everything the client saw complete
-                # is inside the recovered state.
-                assert acked <= expect_m, (
-                    f"{tag}: {acked} acked ops but only {expect_m} "
-                    "survive recovery"
-                )
-                report = recover(wal_path,
-                                 lambda _ckpt: make_backend())
-                assert report.unclean, f"{tag}: crash not detected"
-                assert report.errors == [], f"{tag}: {report.errors}"
-                expected_torn = 1 if site == "wal.torn_append" else 0
-                assert report.torn == expected_torn, (
-                    f"{tag}: torn={report.torn}"
-                )
-                assert _state(report.backend) == golden[expect_m], (
-                    f"{tag}: recovered state is not bit-identical to "
-                    f"the golden twin after {expect_m} ops"
-                )
-                crash_runs += 1
-                replayed_total += report.replayed
-                skipped_total += report.skipped
-                torn_tails += report.torn
+            report = recover(wal_path,
+                             lambda _ckpt: make_backend())
+            assert report.unclean, f"{tag}: crash not detected"
+            assert report.errors == [], f"{tag}: {report.errors}"
+            expected_torn = 1 if site == "wal.torn_append" else 0
+            assert report.torn == expected_torn, (
+                f"{tag}: torn={report.torn}"
+            )
+            assert _state(report.backend) == golden[expect_m], (
+                f"{tag}: recovered state is not bit-identical to "
+                f"the golden twin after {expect_m} ops"
+            )
+            crash_runs += 1
+            replayed_total += report.replayed
+            skipped_total += report.skipped
+            torn_tails += report.torn
 
     return {
-        "backends": sorted(backends),
         "ops_scheduled": n_ops,
         "checkpoint_at": CRASH_CKPT_AT,
         "crash_points_swept": len(sweep),
@@ -720,7 +711,7 @@ def run_chaos(seed: int = DEFAULT_SEED, quick: bool = False,
             "live_migration": lambda: phase_live_migration(
                 inj, rounds=18 if quick else 36
             ),
-            # The crash sweep is exact and fast (84 runs, ~1.5 s): the
+            # The crash sweep is exact and fast (42 runs, under 1 s): the
             # full matrix runs in quick mode too.
             "crash_recovery": lambda: phase_crash_recovery(inj),
         }

@@ -10,9 +10,9 @@ Layers, bottom up:
   write-ahead op log every control op is appended to before it applies;
 * :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
   restore plus exactly-once WAL-suffix replay;
-* :mod:`repro.serving.backend` — :class:`SwitchBackend`, the contract a
-  control plane programs against, with two conforming implementations
-  (:class:`ScalarBackend`, :class:`BatchedBackend`);
+* :mod:`repro.serving.backend` — :class:`SwitchBackend`, the one switch
+  a control plane programs against; it serves each run of data packets
+  per packet or columnar by the run's length;
 * :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
   breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many
@@ -22,7 +22,7 @@ Layers, bottom up:
   between two switch instances (checkpoint → dual-running → atomic
   cutover on an SMBM version boundary).
 
-Quickstart: ``python -m repro.serving.controller --backend batched``.
+Quickstart: ``python -m repro.serving.controller``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from repro.serving._atomic import (
     cleanup_stale_tmp,
 )
 from repro.serving.backend import (
-    BatchedBackend,
-    ScalarBackend,
     SwitchBackend,
     TableWrite,
-    build_backend,
     spec_from_checkpoint,
 )
+# Kept for perfbench/, which imports these names; SwitchBackend replaces both.
+from repro.serving.backend import BatchedBackend, build_backend
 from repro.serving.breaker import (
     BreakerState,
     CircuitBreaker,
@@ -86,7 +85,9 @@ def __getattr__(name: str) -> object:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
+    # perfbench/ compatibility names (see the import above).
     "BatchedBackend",
+    "build_backend",
     "BreakerState",
     "CircuitBreaker",
     "CircuitBreakerConfig",
@@ -96,7 +97,6 @@ __all__ = [
     "MigrationState",
     "REPLAY_HANDLERS",
     "RecoveryReport",
-    "ScalarBackend",
     "SwitchBackend",
     "SwitchCheckpoint",
     "TableWrite",
@@ -104,7 +104,6 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "atomic_write_text",
-    "build_backend",
     "canonical_bytes",
     "checksum_hex",
     "cleanup_stale_tmp",

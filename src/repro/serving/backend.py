@@ -1,39 +1,26 @@
-"""Backend-neutral serving: one interface, two conforming switch paths.
+"""The serving backend: the one switch a control plane programs against.
 
-:class:`SwitchBackend` is the contract the control plane programs against:
-tenant lifecycle (program / unprogram / hot-swap), table write-batches,
-packet serving (scalar and batch), checkpoint / restore, and a health
-probe.  Everything above this interface — the asyncio
-:class:`~repro.serving.controller.Controller`, live migration, the chaos
-harness — is written once and runs unchanged on any backend.
+:class:`SwitchBackend` covers tenant lifecycle (program / unprogram /
+hot-swap), table write-batches, packet serving, checkpoint / restore and
+a health probe, over a :class:`~repro.tenancy.manager.TenantManager` and
+the multi-tenant :class:`~repro.switch.thanos_switch.ThanosSwitch` it
+drives.  Everything above it — the asyncio
+:class:`~repro.serving.controller.Controller`, live migration, crash
+recovery, the chaos harness — is written against this class.
 
-Two backends conform today, both multiplexing tenants over one
-:class:`~repro.switch.thanos_switch.ThanosSwitch`:
-
-* :class:`ScalarBackend` — the per-packet reference path: every packet
-  traverses the RMT pipeline individually (``switch.process``);
-* :class:`BatchedBackend` — the columnar engine path: probe packets act
-  as batch boundaries and the data runs between them go through the
-  batch tiers (``switch.process_batch``).
-
-The shared machinery — tenant demux, admission, the epoch watermark
-stamped on filter outputs, serving-cache resets on plan or table change —
-lives in :class:`_ManagerBackend` (and below it, in
-:class:`~repro.tenancy.demux.TenantDemux` and
-:class:`~repro.switch.filter_module.FilterModule`), so the backends
-differ *only* in how a run of data packets is served.  That is what the
-conformance suite checks: same inputs, same outputs, same error shapes,
-same observability series (distinguished only by the ``backend`` label).
+Serving has no mode to choose: :meth:`SwitchBackend.process_batch` hands
+the stream to :meth:`ThanosSwitch.process_batch`, which serves each run
+of data packets between probes per packet or through the columnar batch
+tiers by the run's length, and checks the whole batch's routing before
+any packet is served.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.analysis.findings import Report
 from repro.analysis.symbolic import require_semantically_clean
 from repro.analysis.verifier import TableSchema
 from repro.core.policy import Policy
@@ -46,16 +33,11 @@ from repro.serving.checkpoint import (
     policy_to_dict,
 )
 from repro.switch.thanos_switch import ThanosSwitch
-from repro.tenancy.demux import TenantDemux
 from repro.tenancy.manager import Tenant, TenantManager, TenantSpec
 
 __all__ = [
     "TableWrite",
     "SwitchBackend",
-    "ScalarBackend",
-    "BatchedBackend",
-    "build_backend",
-    "conformance_report",
     "spec_from_checkpoint",
 ]
 
@@ -94,104 +76,28 @@ def spec_from_checkpoint(ckpt: TenantCheckpoint) -> TenantSpec:
     )
 
 
-class SwitchBackend(abc.ABC):
-    """The serving contract a control plane programs against."""
-
-    #: Short identifier used as the ``backend`` label on obs series.
-    name: str = "abstract"
-
-    # -- tenant lifecycle --------------------------------------------------------------
-
-    @abc.abstractmethod
-    def program_tenant(self, spec: TenantSpec) -> Tenant:
-        """Admit and program a tenant; static TH013/TH014 gates apply."""
-
-    @abc.abstractmethod
-    def unprogram_tenant(self, name: str) -> None:
-        """Evict a tenant, returning its slice to the free pools."""
-
-    @abc.abstractmethod
-    def hot_swap(self, name: str, policy: Policy, *,
-                 allow_semantic_change: bool = True) -> int:
-        """Hitlessly replace a tenant's policy; returns the new epoch.
-
-        The serving path escalates the TH017–TH019 reachability lints to
-        errors — a policy with a provably-dead region must not be swapped
-        in live.  With ``allow_semantic_change=False`` a swap that
-        *widens* the admitted match region is additionally rejected
-        (TH020): only equivalent or narrowing replacements install.
-        """
-
-    # -- table maintenance -------------------------------------------------------------
-
-    @abc.abstractmethod
-    def write_batch(self, writes: Iterable[TableWrite]) -> int:
-        """Apply table writes in order; returns the count applied."""
-
-    # -- serving -----------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def process(self, packet: Packet) -> Packet:
-        """Serve one packet (probe or data)."""
-
-    @abc.abstractmethod
-    def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Serve a packet stream, preserving per-packet semantics."""
-
-    # -- checkpoint / restore ----------------------------------------------------------
-
-    @abc.abstractmethod
-    def snapshot_tenant(self, name: str) -> TenantCheckpoint:
-        """Capture one tenant's complete serving state."""
-
-    @abc.abstractmethod
-    def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
-        """Recreate a tenant from a checkpoint: admit its spec, restore
-        its table bit-faithfully, re-stamp its epoch watermark."""
-
-    @abc.abstractmethod
-    def snapshot(self) -> SwitchCheckpoint:
-        """Capture the whole switch: geometry plus every tenant."""
-
-    # -- health ------------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def health(self) -> dict[str, object]:
-        """A liveness/degradation summary for the control plane."""
-
-
-class _ManagerBackend(SwitchBackend):
-    """Shared implementation over a :class:`TenantManager` and a
-    multi-tenant :class:`ThanosSwitch`.
-
-    Subclasses override only :meth:`_serve_batch`.  Routing of a whole
-    batch is validated *up front* through the shared
-    :class:`TenantDemux` — all distinct unknown labels and the unlabelled
-    count in one :class:`~repro.errors.RoutingError`, before any packet
-    is served — so both backends present identical all-or-nothing batch
-    admission regardless of how they serve.
-    """
+class SwitchBackend:
+    """The serving contract a control plane programs against: one
+    multi-tenant switch over a :class:`TenantManager`."""
 
     def __init__(self, manager: TenantManager):
         self._manager = manager
         self._switch = ThanosSwitch.multi_tenant(manager)
-        self._demux = TenantDemux(manager)
         registry = obs.get_registry()
-        labels = {"backend": self.name}
         self._obs_packets = registry.counter(
-            "backend_packets_total", labels,
+            "backend_packets_total",
             help="packets served through the backend (scalar + batch)",
         )
         self._obs_writes = registry.counter(
-            "backend_table_writes_total", labels,
+            "backend_table_writes_total",
             help="table writes applied through write_batch",
         )
         self._obs_snapshots = registry.counter(
-            "backend_snapshots_total", labels,
+            "backend_snapshots_total",
             help="tenant checkpoints captured",
         )
         self._obs_restores = registry.counter(
-            "backend_restores_total", labels,
+            "backend_restores_total",
             help="tenants recreated from checkpoints",
         )
 
@@ -209,16 +115,23 @@ class _ManagerBackend(SwitchBackend):
     # -- tenant lifecycle --------------------------------------------------------------
 
     def program_tenant(self, spec: TenantSpec) -> Tenant:
+        """Admit and program a tenant; static TH013/TH014 gates apply."""
         return self._manager.admit(spec)
 
     def unprogram_tenant(self, name: str) -> None:
+        """Evict a tenant, returning its slice to the free pools."""
         self._manager.evict(name)
 
     def hot_swap(self, name: str, policy: Policy, *,
                  allow_semantic_change: bool = True) -> int:
-        # Serving-time escalation: reachability lints that compile as
-        # warnings (TH017–TH019) are install-blocking here — a live swap
-        # to a policy with provably-dead regions is operator error.
+        """Hitlessly replace a tenant's policy; returns the new epoch.
+
+        The serving path escalates the TH017–TH019 reachability lints to
+        errors — a policy with a provably-dead region must not be swapped
+        in live.  With ``allow_semantic_change=False`` a swap that
+        *widens* the admitted match region is additionally rejected
+        (TH020): only equivalent or narrowing replacements install.
+        """
         tenant = self._manager.get(name)
         require_semantically_clean(
             policy,
@@ -234,6 +147,7 @@ class _ManagerBackend(SwitchBackend):
     # -- table maintenance -------------------------------------------------------------
 
     def write_batch(self, writes: Iterable[TableWrite]) -> int:
+        """Apply table writes in order; returns the count applied."""
         applied = 0
         for write in writes:
             module = self._manager.get(write.tenant).module
@@ -248,26 +162,22 @@ class _ManagerBackend(SwitchBackend):
     # -- serving -----------------------------------------------------------------------
 
     def process(self, packet: Packet) -> Packet:
+        """Serve one packet (probe or data)."""
         out = self._switch.process(packet)
         self._obs_packets.inc()
         return out
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        # One demux pass over the whole batch surfaces every routing
-        # violation before any packet is served; per-packet serving later
-        # re-resolves each label against the (unchanged) admitted set.
-        self._demux.partition(packets)
-        out = self._serve_batch(packets)
+        """Serve a packet stream with per-packet semantics; a routing
+        violation anywhere in it raises before any packet is served."""
+        out = self._switch.process_batch(packets)
         self._obs_packets.inc(len(packets))
         return out
-
-    @abc.abstractmethod
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """The one point the two backends differ."""
 
     # -- checkpoint / restore ----------------------------------------------------------
 
     def snapshot_tenant(self, name: str) -> TenantCheckpoint:
+        """Capture one tenant's complete serving state."""
         tenant = self._manager.get(name)
         spec = tenant.spec
         ckpt = TenantCheckpoint(
@@ -291,6 +201,8 @@ class _ManagerBackend(SwitchBackend):
         return ckpt
 
     def restore_tenant(self, ckpt: TenantCheckpoint) -> Tenant:
+        """Recreate a tenant from a checkpoint: admit its spec, restore
+        its table bit-faithfully, re-stamp its epoch watermark."""
         tenant = self._manager.admit(spec_from_checkpoint(ckpt))
         try:
             tenant.module.restore_table(
@@ -306,6 +218,7 @@ class _ManagerBackend(SwitchBackend):
         return tenant
 
     def snapshot(self) -> SwitchCheckpoint:
+        """Capture the whole switch: geometry plus every tenant."""
         return SwitchCheckpoint.build(
             self._manager.metric_names,
             self._manager.params,
@@ -316,11 +229,11 @@ class _ManagerBackend(SwitchBackend):
     # -- health ------------------------------------------------------------------------
 
     def health(self) -> dict[str, object]:
+        """A liveness/degradation summary for the control plane."""
         degraded = sorted(
             t.name for t in self._manager if t.module.degraded
         )
         return {
-            "backend": self.name,
             "healthy": not degraded,
             "tenants": len(self._manager),
             "degraded_tenants": degraded,
@@ -330,43 +243,15 @@ class _ManagerBackend(SwitchBackend):
         }
 
 
-class ScalarBackend(_ManagerBackend):
-    """The per-packet reference path: every packet, probe or data,
-    traverses the RMT pipeline individually."""
-
-    name = "scalar"
-
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        return [self._switch.process(p) for p in packets]
+#: Kept for ``perfbench/``, which imports this name.
+BatchedBackend = SwitchBackend
 
 
-class BatchedBackend(_ManagerBackend):
-    """The columnar engine path: probes are batch boundaries, data runs
-    between them go through the batch tiers."""
-
-    name = "batched"
-
-    def _serve_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        return self._switch.process_batch(packets)
-
-
-def build_backend(kind: str, manager: TenantManager) -> _ManagerBackend:
-    """Backend factory for CLIs and harnesses (``scalar`` | ``batched``)."""
-    backends = {"scalar": ScalarBackend, "batched": BatchedBackend}
-    try:
-        cls = backends[kind]
-    except KeyError:
+def build_backend(kind: str, manager: TenantManager) -> SwitchBackend:
+    """Kept for ``perfbench/``, which builds its backend by this name."""
+    if kind != "batched":
         raise ConfigurationError(
-            f"unknown backend {kind!r}; choose from {sorted(backends)}"
-        ) from None
-    return cls(manager)
+            f"unknown backend {kind!r}; the one backend is 'batched'"
+        )
+    return SwitchBackend(manager)
 
-
-def conformance_report(
-    left: SwitchBackend, right: SwitchBackend, name: str
-) -> Report:
-    """Compare one tenant's snapshots across two backends (delegates to
-    the analysis layer's TH015 checkpoint-faithfulness rule)."""
-    from repro.analysis.conformance import verify_checkpoint_roundtrip
-
-    return verify_checkpoint_roundtrip(left, right, name)

@@ -76,7 +76,7 @@ from repro.errors import (
 from repro.faults.injector import SimulatedCrash
 from repro.faults.retry import RetryPolicy
 from repro.rmt.packet import Packet
-from repro.serving.backend import SwitchBackend, TableWrite, build_backend
+from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.breaker import (
     BreakerState,
     CircuitBreaker,
@@ -272,9 +272,7 @@ class Controller:
         self._closed = False
         self._crashed = False
         registry = obs.get_registry()
-        backend_label = getattr(backend, "name", "unknown")
         self._registry = registry
-        self._backend_label = backend_label
         self._obs_ops: dict[tuple[str, str], obs.Counter] = {}
         self._obs_latency: dict[str, obs.Histogram] = {}
         self._obs_depth: dict[str, obs.Gauge] = {}
@@ -282,12 +280,11 @@ class Controller:
         self._obs_retries: dict[str, obs.Counter] = {}
         self._obs_deadline = registry.counter(
             "controller_deadline_exceeded_total",
-            {"backend": backend_label},
             help="ops failed fast for missing their queue-to-apply "
                  "deadline (never partially applied)",
         )
         self._obs_degraded = registry.gauge(
-            "controller_degraded", {"backend": backend_label},
+            "controller_degraded",
             help="1 while any tenant breaker is not closed: control "
                  "plane degraded, data path serving last-good plans",
         )
@@ -301,8 +298,7 @@ class Controller:
         if counter is None:
             counter = self._registry.counter(
                 "controller_ops_total",
-                {"op": op, "outcome": outcome,
-                 "backend": self._backend_label},
+                {"op": op, "outcome": outcome},
                 help="control-plane operations applied, by op and outcome",
             )
             self._obs_ops[key] = counter
@@ -313,7 +309,7 @@ class Controller:
         if hist is None:
             hist = self._registry.histogram(
                 "controller_apply_ns",
-                {"op": op, "backend": self._backend_label},
+                {"op": op},
                 help="submit-to-applied latency per op (ns, pow2 buckets)",
             )
             self._obs_latency[op] = hist
@@ -324,7 +320,7 @@ class Controller:
         if gauge is None:
             gauge = self._registry.gauge(
                 "controller_queue_depth",
-                {"tenant": tenant, "backend": self._backend_label},
+                {"tenant": tenant},
                 help="ops waiting in a tenant's control queue",
             )
             self._obs_depth[tenant] = gauge
@@ -335,7 +331,7 @@ class Controller:
         if counter is None:
             counter = self._registry.counter(
                 "controller_shed_total",
-                {"op": op, "backend": self._backend_label},
+                {"op": op},
                 help="control ops shed by bounded-queue load shedding",
             )
             self._obs_shed[op] = counter
@@ -346,7 +342,7 @@ class Controller:
         if counter is None:
             counter = self._registry.counter(
                 "controller_retries_total",
-                {"op": op, "backend": self._backend_label},
+                {"op": op},
                 help="transient fault-class apply failures retried "
                      "with backoff",
             )
@@ -842,14 +838,14 @@ def _smoke_policy(kind: str) -> Policy:
     )
 
 
-async def _smoke(backend_kind: str, writes: int) -> dict[str, object]:
+async def _smoke(writes: int) -> dict[str, object]:
     """Two concurrent clients: admit, stream writes, hot-swap, serve."""
     from repro.engine.batch import META_FILTER_REQUEST
     from repro.rmt.packet import META_TENANT
     from repro.tenancy.manager import TenantManager
 
     manager = TenantManager(("cpu", "mem"), smbm_capacity=16)
-    backend = build_backend(backend_kind, manager)
+    backend = SwitchBackend(manager)
 
     async def client(ctl: Controller, name: str, kind: str) -> int:
         spec = TenantSpec(name=name, policy=_smoke_policy(kind),
@@ -882,20 +878,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving.controller",
         description="Serving-core smoke: concurrent control clients "
-                    "against a chosen switch backend.",
+                    "against one switch backend.",
     )
-    parser.add_argument("--backend", choices=("scalar", "batched"),
-                        default="scalar")
     parser.add_argument("--writes", type=int, default=32,
                         help="table writes per client (default 32)")
     args = parser.parse_args(argv)
     registry = obs.MetricsRegistry()
     previous = obs.set_registry(registry)
     try:
-        health = asyncio.run(_smoke(args.backend, args.writes))
+        health = asyncio.run(_smoke(args.writes))
     finally:
         obs.set_registry(previous)
-    print(f"# smoke on backend={args.backend}: {health}")
+    print(f"# smoke: {health}")
     print(obs.to_prometheus(registry))
     return 0 if health.get("healthy") else 1
 

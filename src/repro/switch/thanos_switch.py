@@ -22,7 +22,7 @@ from repro.core.policy import Policy
 from repro.errors import ConfigurationError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.pipeline import MatchActionStage, RMTPipeline
-from repro.rmt.probe import ProbeCodec
+from repro.rmt.probe import ProbeCodec, ProbeUpdate
 from repro.switch.filter_module import META_FILTER_REQUEST, FilterModule
 from repro.tenancy.demux import TenantDemux
 
@@ -30,6 +30,18 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a runtime switch<->tenancy cycle
     from repro.tenancy.manager import TenantManager
 
 __all__ = ["ThanosSwitch", "META_TENANT"]
+
+#: Shortest data run :meth:`ThanosSwitch.process_batch` serves through the
+#: columnar tiers; shorter runs go packet by packet.  Columnarizing a run
+#: (build the batch, demux it, scatter the outputs) costs a fixed overhead
+#: that the per-row savings repay only over enough rows.  Measured on two
+#: tenants of 512 rows (the perfbench tables), a probe every L packets so
+#: runs hold L-1 data packets, us per packet, per-packet vs columnar
+#: (2-core Xeon, CPython 3.11): L=12 10.8 vs 12.4, L=16 9.5 vs 10.1,
+#: L=20 9.5 vs 8.6, L=32 8.3 vs 7.0; with a candidate mask on every row,
+#: L=16 11.9 vs 12.6 and L=20 12.6 vs 12.2.  Both cross between runs of
+#: 15 and 19 packets.
+_MIN_COLUMNAR_RUN = 16
 
 #: A local-metric event handler maps (event name, event args) to SMBM writes.
 EventHandler = Callable[["ThanosSwitch", Mapping[str, int]], None]
@@ -148,63 +160,78 @@ class ThanosSwitch:
         traverse the pipeline (and trigger filtering when they request it)."""
         update = self._codec.decode(packet)
         if update is not None:
-            module = (self._filter if self._tenants is None
-                      else self._tenant_of(packet))
-            module.update_resource(update.resource_id, update.metrics)
-            self._probes_processed += 1
+            self._apply_probe(packet, update)
             return packet
         return self._pipeline.process(packet)
 
+    def _apply_probe(self, packet: Packet, update: ProbeUpdate) -> None:
+        module = (self._filter if self._tenants is None
+                  else self._tenant_of(packet))
+        assert module is not None
+        module.update_resource(update.resource_id, update.metrics)
+        self._probes_processed += 1
+
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
-        """Process a packet stream, serving data packets in columnar batches.
+        """Process a packet stream with the per-packet semantics of
+        :meth:`process`, serving long data runs in columnar batches.
 
-        Probe packets are decoded and applied to the SMBM **in arrival
-        order** — they act as batch boundaries, so every data packet sees
-        exactly the table state it would have seen under per-packet
-        :meth:`process`.  The runs of data packets between probes go
-        through :meth:`FilterModule.evaluate_batch` when the filter is the
-        only RMT stage; with ingress/egress stages present each packet
-        falls back to the per-packet pipeline (those stages' tables and
-        register charges must interleave per packet).  Note the RMT
-        pipeline's ``packets_processed`` counter only advances on the
-        per-packet path; batched rows are counted by the filter module's
-        own batch counters.
+        Probe packets are applied to the SMBM **in arrival order** — they
+        act as batch boundaries, so every data packet sees exactly the
+        table state it would have seen under :meth:`process`.  A run of
+        data packets between probes goes through
+        :meth:`FilterModule.evaluate_batch` when the filter is the only
+        RMT stage and the run holds at least :data:`_MIN_COLUMNAR_RUN`
+        packets; otherwise each packet traverses the per-packet pipeline
+        (ingress/egress stages' tables and register charges must
+        interleave per packet, and a short run does not repay the cost of
+        columnarizing it).  Only the per-packet path advances the RMT
+        pipeline's ``packets_processed`` counter; columnar rows are
+        counted by the filter module's batch counters.
+
+        On a multi-tenant switch the batch is all-or-nothing: every probe
+        and every requesting packet is checked for a routable
+        ``META_TENANT`` label before any probe is applied or any packet
+        served, and all violations surface in one
+        :class:`~repro.errors.RoutingError`.
         """
+        decode = self._codec.decode
+        # One pass decodes each packet once and cuts the stream into
+        # (data run, probe ending it) segments; nothing is applied yet.
+        segments: list[tuple[list[Packet], Packet, ProbeUpdate]] = []
+        routed: list[Packet] = []
         run: list[Packet] = []
-
-        def flush() -> None:
-            if not run:
-                return
-            if not self._filter_only:
-                for p in run:
-                    self._pipeline.process(p)
-            elif self._tenants is None:
-                assert self._filter is not None
-                self._filter.evaluate_batch(run)
-            else:
-                # Demux the run into per-tenant sub-batches.  Tenants'
-                # tables are disjoint, so sub-batch order is immaterial;
-                # within each tenant arrival order is preserved.  Every
-                # routing violation in the run (all distinct unknown
-                # labels, all unlabelled packets) surfaces in the one
-                # RoutingError the demux raises.
-                assert self._demux is not None
-                for name, pkts in self._demux.partition(run).items():
-                    self._tenants.get(name).module.evaluate_batch(pkts)
-            run.clear()
-
         for packet in packets:
-            update = self._codec.decode(packet)
-            if update is not None:
-                flush()  # writes may not reorder past pending reads
-                module = (self._filter if self._tenants is None
-                          else self._tenant_of(packet))
-                module.update_resource(update.resource_id, update.metrics)
-                self._probes_processed += 1
-            else:
+            update = decode(packet)
+            if update is None:
                 run.append(packet)
-        flush()
+                if packet.metadata.get(META_FILTER_REQUEST):
+                    routed.append(packet)
+            else:
+                segments.append((run, packet, update))
+                routed.append(packet)
+                run = []
+        if self._demux is not None:
+            self._demux.check(routed)
+        for data, probe, update in segments:
+            self._serve_run(data)  # writes may not reorder past reads
+            self._apply_probe(probe, update)
+        self._serve_run(run)
         return list(packets)
+
+    def _serve_run(self, run: list[Packet]) -> None:
+        if not self._filter_only or len(run) < _MIN_COLUMNAR_RUN:
+            for packet in run:
+                self._pipeline.process(packet)
+        elif self._tenants is None:
+            assert self._filter is not None
+            self._filter.evaluate_batch(run)
+        else:
+            # Demux the run into per-tenant sub-batches.  Tenants' tables
+            # are disjoint, so sub-batch order is immaterial; within each
+            # tenant arrival order is preserved.
+            assert self._demux is not None
+            for name, pkts in self._demux.partition(run).items():
+                self._tenants.get(name).module.evaluate_batch(pkts)
 
     def filter_for(self, packet: Packet) -> Packet:
         """Convenience: mark the packet for filtering and process it."""

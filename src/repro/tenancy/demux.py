@@ -19,7 +19,7 @@ once:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.batch import META_FILTER_REQUEST
 from repro.errors import ConfigurationError, RoutingError
@@ -60,53 +60,56 @@ class TenantDemux:
         except ConfigurationError as exc:
             raise RoutingError(str(exc), unknown=(name,)) from None
 
-    def partition(
-        self, packets: Sequence[Packet], *, requesting_only: bool = True
-    ) -> dict[str, list[Packet]]:
-        """Split a batch into per-tenant sub-batches, arrival order kept.
+    def check(self, packets: Iterable[Packet]) -> None:
+        """Require every packet given to route to an admitted tenant.
 
-        With ``requesting_only`` (the batched filter path), packets not
-        carrying ``META_FILTER_REQUEST`` bypass demux entirely — they touch
-        no tenant's module, so they need no label.
-
-        Every routing violation in the batch is collected before raising
-        one :class:`~repro.errors.RoutingError` naming all distinct
-        unknown labels and the unlabelled-packet count; on a violation-free
-        batch, returns ``{tenant_name: [packets...]}``.
+        The caller picks which packets must route (a switch passes its
+        probes and requesting data packets).  The check has no side
+        effect, so a batch can be checked whole before any packet of it
+        is served.
         """
-        by_tenant: dict[str, list[Packet]] = {}
         unknown: list[str] = []
         unlabelled = 0
         admitted = self._manager
         for packet in packets:
-            if requesting_only and not packet.metadata.get(META_FILTER_REQUEST):
-                continue
             name = packet.metadata.get(META_TENANT)
             if name is None:
                 unlabelled += 1
-                continue
-            if name not in admitted:
-                if name not in unknown:
-                    unknown.append(name)
-                continue
-            by_tenant.setdefault(name, []).append(packet)
-        if unknown or unlabelled:
-            parts = []
-            if unknown:
-                parts.append(
-                    f"{len(unknown)} unknown META_TENANT label(s) "
-                    f"{sorted(unknown)} (admitted: "
-                    f"{sorted(t.name for t in admitted)})"
-                )
-            if unlabelled:
-                parts.append(
-                    f"{unlabelled} requesting packet(s) carry no "
-                    "META_TENANT metadata"
-                )
-            raise RoutingError(
-                "batch demux on a multi-tenant switch failed: "
-                + "; ".join(parts),
-                unknown=tuple(sorted(unknown)),
-                unlabelled=unlabelled,
+            elif name not in admitted and name not in unknown:
+                unknown.append(name)
+        if not (unknown or unlabelled):
+            return
+        parts = []
+        if unknown:
+            parts.append(
+                f"{len(unknown)} unknown META_TENANT label(s) "
+                f"{sorted(unknown)} (admitted: "
+                f"{sorted(t.name for t in admitted)})"
             )
+        if unlabelled:
+            parts.append(
+                f"{unlabelled} routed packet(s) carry no META_TENANT "
+                "metadata"
+            )
+        raise RoutingError(
+            "batch demux on a multi-tenant switch failed: "
+            + "; ".join(parts),
+            unknown=tuple(sorted(unknown)),
+            unlabelled=unlabelled,
+        )
+
+    def partition(self, packets: Sequence[Packet]) -> dict[str, list[Packet]]:
+        """Split a batch's requesting packets into per-tenant sub-batches,
+        arrival order kept: ``{tenant_name: [packets...]}``.
+
+        Packets not carrying ``META_FILTER_REQUEST`` bypass demux
+        entirely — they touch no tenant's module, so they need no label.
+        The batch must have passed :meth:`check`; routing is not checked
+        again here.
+        """
+        by_tenant: dict[str, list[Packet]] = {}
+        for packet in packets:
+            meta = packet.metadata
+            if meta.get(META_FILTER_REQUEST):
+                by_tenant.setdefault(meta[META_TENANT], []).append(packet)
         return by_tenant

@@ -43,7 +43,7 @@ from repro.core.smbm import SMBM, STORED_WORD_BITS
 from repro.engine.batch import META_FILTER_INPUT, META_FILTER_REQUEST
 from repro.errors import CompilationError, IntegrityError
 from repro.rmt.packet import Packet
-from repro.serving.backend import ScalarBackend
+from repro.serving.backend import SwitchBackend
 from repro.serving.controller import Controller
 from repro.serving.migration import LiveMigration
 from repro.switch.filter_module import FilterModule
@@ -274,7 +274,7 @@ def test_hot_swap_allows_widening_by_default():
 
 
 def test_backend_hot_swap_escalates_reachability_lints_to_errors():
-    backend = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    backend = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
     backend.program_tenant(
         TenantSpec("t", _pred("cpu", RelOp.LT, 70, "base"), smbm_quota=8)
     )
@@ -288,7 +288,7 @@ def test_backend_hot_swap_escalates_reachability_lints_to_errors():
 
 
 def test_controller_hot_swap_passes_the_semantic_gate_through():
-    backend = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    backend = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
 
     async def scenario():
         async with Controller(backend) as ctl:
@@ -308,8 +308,8 @@ def test_controller_hot_swap_passes_the_semantic_gate_through():
 
 
 def test_migration_cutover_gate_rejects_semantic_divergence():
-    src = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
-    dst = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    src = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    dst = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
     src.program_tenant(
         TenantSpec("t", _pred("cpu", RelOp.LT, 70, "base"), smbm_quota=8)
     )
@@ -324,8 +324,8 @@ def test_migration_cutover_gate_rejects_semantic_divergence():
 
 
 def test_migration_cutover_accepts_structurally_different_equivalents():
-    src = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
-    dst = ScalarBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    src = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
+    dst = SwitchBackend(TenantManager(METRICS, smbm_capacity=CAPACITY))
     src.program_tenant(
         TenantSpec("t", _pred("cpu", RelOp.LT, 70, "base"), smbm_quota=8)
     )

@@ -1,11 +1,13 @@
-"""The shared backend conformance suite.
+"""The serving backend's conformance suite.
 
-Every :class:`SwitchBackend` must be observably interchangeable: same
-traffic produces the same golden trace (checked against a solo
-FilterModule oracle *and* across backends), the same routing errors with
-the same all-violations shape, the same obs series names (modulo the
-``backend`` label), and checkpoints that round-trip between any two
-backends TH015-clean.
+:class:`SwitchBackend` serves every run of data packets between probes
+either per packet or through the columnar tiers, chosen by the run's
+length; both paths must be observably identical.  The same traffic must
+produce the golden trace of a solo FilterModule oracle whichever path
+serves it, ``process`` and ``process_batch`` must agree packet for
+packet, routing errors must keep their all-violations shape and leave a
+rejected batch wholly unserved, and checkpoints must round-trip
+TH015-clean.
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from repro.engine.batch import (
 from repro.errors import ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
-from repro.serving.backend import (
-    BatchedBackend,
-    ScalarBackend,
-    TableWrite,
-    build_backend,
-)
-from repro.switch.filter_module import FilterModule
+from repro.serving.backend import SwitchBackend, TableWrite, build_backend
+from repro.switch.filter_module import META_FILTER_EPOCH, FilterModule
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
-BACKENDS = (ScalarBackend, BatchedBackend)
 
 
 def _policy_a() -> Policy:
@@ -50,28 +47,35 @@ def _policy_b() -> Policy:
     )
 
 
-def _make_backend(cls):
+def _make_backend():
     manager = TenantManager(METRICS, smbm_capacity=16)
-    backend = cls(manager)
+    backend = SwitchBackend(manager)
     backend.program_tenant(TenantSpec("a", _policy_a(), smbm_quota=8))
     backend.program_tenant(TenantSpec("b", _policy_b(), smbm_quota=8))
     return backend
 
 
+#: Data-run lengths between probes: short runs (served per packet), long
+#: runs (served columnar) and each side of the threshold exactly.
+RUNS = (4, 4, 20, 3, 1, _MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN, 33, 0, 7)
+
+
 def _schedule():
-    """A deterministic mixed schedule: probes (table writes on the wire)
-    interleaved with filtering data packets, for two tenants.  Every
-    third data packet carries a candidate mask (``META_FILTER_INPUT``)."""
+    """A deterministic mixed schedule for two tenants: a probe (a table
+    write on the wire) before each run of :data:`RUNS` filtering data
+    packets.  Every third data packet carries a candidate mask
+    (``META_FILTER_INPUT``), so both paths see masked rows."""
     steps = []
-    for i in range(40):
-        tenant = "a" if i % 2 else "b"
-        if i % 5 == 0:
-            steps.append(("probe", tenant, i % 8,
-                          {"cpu": (i * 13) % 100, "mem": (i * 7) % 50}))
-        elif i % 3 == 0:
-            steps.append(("data", tenant, 0b1111 << (i % 5)))
-        else:
-            steps.append(("data", tenant, None))
+    i = 0
+    for j, length in enumerate(RUNS):
+        tenant = "a" if j % 2 else "b"
+        steps.append(("probe", tenant, j % 8,
+                      {"cpu": (j * 13) % 100, "mem": (j * 7) % 50}))
+        for _ in range(length):
+            i += 1
+            tenant = "a" if i % 2 else "b"
+            mask = 0b1111 << (i % 5) if i % 3 == 0 else None
+            steps.append(("data", tenant, mask))
     return steps
 
 
@@ -95,7 +99,7 @@ def _traffic(codec: ProbeCodec, steps):
 
 def _golden_traces(steps):
     """Solo per-tenant FilterModules: the differential oracle both
-    backends are held to."""
+    serving paths are held to."""
     modules = {"a": FilterModule(8, METRICS, _policy_a()),
                "b": FilterModule(8, METRICS, _policy_b())}
     traces = {"a": [], "b": []}
@@ -114,38 +118,94 @@ def _golden_traces(steps):
     return traces
 
 
-def _run(backend, steps):
-    codec = ProbeCodec(METRICS)
-    packets = _traffic(codec, steps)
-    backend.process_batch(packets)
+#: How a test hands the traffic to the backend: one ``process`` call per
+#: packet, or the whole stream to ``process_batch``.
+ENTRY_POINTS = {
+    "scalar": lambda backend, packets: [backend.process(p) for p in packets],
+    "batched": lambda backend, packets: backend.process_batch(packets),
+}
+
+
+def _run(backend, steps, serve=ENTRY_POINTS["batched"]):
+    """Serve ``steps`` and return each tenant's (output, epoch) trace."""
+    packets = _traffic(ProbeCodec(METRICS), steps)
+    serve(backend, packets)
     traces = {"a": [], "b": []}
     for step, packet in zip(steps, packets):
         if step[0] == "data":
-            traces[step[1]].append(packet.metadata[META_FILTER_OUTPUT])
+            meta = packet.metadata
+            traces[step[1]].append(
+                (meta[META_FILTER_OUTPUT], meta[META_FILTER_EPOCH]))
     return traces
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_backend_matches_solo_module_oracle(cls):
+def _outputs(traces):
+    return {name: [out for out, _epoch in trace]
+            for name, trace in traces.items()}
+
+
+def _requesting(tenant, n):
+    return [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: tenant})
+            for _ in range(n)]
+
+
+def _probe(tenant, rid, metrics):
+    codec = ProbeCodec(METRICS)
+    packet = codec.build_parser().parse(codec.encode(rid, metrics))
+    packet.metadata[META_TENANT] = tenant
+    return packet
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_backend_matches_solo_module_oracle(entry):
     steps = _schedule()
-    assert _run(_make_backend(cls), steps) == _golden_traces(steps)
+    traces = _run(_make_backend(), steps, ENTRY_POINTS[entry])
+    assert _outputs(traces) == _golden_traces(steps)
 
 
-def test_backends_serve_identical_traces():
-    """Masked packets included: the scalar hook restricts to table ∩ mask
-    exactly like the batch path, so the backends differ only in batch
-    size."""
+def test_process_and_process_batch_serve_identical_traces():
+    """Per-packet ``process`` and run-length-chosen ``process_batch``
+    agree on every output and every epoch stamp, masked rows and a
+    hot-swap between two halves of the stream included."""
     steps = _schedule()
     assert any(step[0] == "data" and step[2] is not None for step in steps)
-    scalar = _run(_make_backend(ScalarBackend), steps)
-    batched = _run(_make_backend(BatchedBackend), steps)
-    assert scalar == batched
+    half = len(steps) // 2
+    traces = {}
+    for entry, serve in ENTRY_POINTS.items():
+        backend = _make_backend()
+        first = _run(backend, steps[:half], serve)
+        backend.hot_swap("a", _policy_b())
+        second = _run(backend, steps[half:], serve)
+        traces[entry] = {name: first[name] + second[name] for name in first}
+    assert traces["scalar"] == traces["batched"]
+    epochs = {epoch for _out, epoch in traces["batched"]["a"]}
+    assert epochs == {0, 1}
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_unknown_labels_aggregate_into_one_routing_error(cls):
-    backend = _make_backend(cls)
-    batch = [
+@pytest.mark.parametrize("length", [_MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN])
+def test_run_length_picks_the_serving_path(length):
+    """A run shorter than the threshold is served packet by packet (one
+    evaluation each, no batch); a run at the threshold is one columnar
+    batch whose single evaluation is broadcast to every row."""
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        backend = _make_backend()
+        backend.process_batch(_requesting("a", length))
+    batches = registry.value_of("filter_batches_total")
+    evaluations = registry.value_of("filter_evaluations_total")
+    if length < _MIN_COLUMNAR_RUN:
+        assert (batches, evaluations) == (0, length)
+    else:
+        assert (batches, evaluations) == (1, 1)
+
+
+@pytest.mark.parametrize("pad", [0, _MIN_COLUMNAR_RUN],
+                         ids=("scalar", "batched"))
+def test_unknown_labels_aggregate_into_one_routing_error(pad):
+    """``pad`` valid packets put the violations in a run the per-packet
+    path (``scalar``) or the columnar path (``batched``) would serve."""
+    backend = _make_backend()
+    batch = _requesting("a", pad) + [
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "ghost"}),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"}),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "zombie"}),
@@ -156,13 +216,53 @@ def test_unknown_labels_aggregate_into_one_routing_error(cls):
         backend.process_batch(batch)
     assert excinfo.value.unknown == ("ghost", "zombie")
     assert excinfo.value.unlabelled == 1
-    # All-or-nothing: the known tenant's packet was not served either.
+    # All-or-nothing: the known tenant's packets were not served either.
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
+
+
+def test_unroutable_probe_rejects_the_batch_before_any_write():
+    """A probe naming no tenant, behind a probe and a data packet of a
+    known tenant: the batch raises with the known tenant's table
+    unwritten and its data packet unserved."""
+    backend = _make_backend()
+    smbm = backend.manager.get("a").module.smbm
+    before = (smbm.version, smbm.snapshot())
+    batch = [_probe("a", 1, {"cpu": 7, "mem": 9}), *_requesting("a", 1),
+             _probe("zzz", 2, {"cpu": 1, "mem": 1})]
+    with pytest.raises(RoutingError) as excinfo:
+        backend.process_batch(batch)
+    assert excinfo.value.unknown == ("zzz",)
+    assert (smbm.version, smbm.snapshot()) == before
     assert META_FILTER_OUTPUT not in batch[1].metadata
+    assert backend.switch.probes_processed == 0
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_write_batch_and_health(cls):
-    backend = _make_backend(cls)
+def test_switch_names_every_unknown_label_across_probes():
+    """Called directly, the switch checks the whole batch too: both
+    unknown labels, split by a probe, are named, and no probe applies."""
+    backend = _make_backend()
+    smbm = backend.manager.get("a").module.smbm
+    before = (smbm.version, smbm.snapshot())
+    batch = [_probe("a", 1, {"cpu": 7, "mem": 9}), *_requesting("x", 1),
+             _probe("a", 2, {"cpu": 3, "mem": 4}), *_requesting("y", 1)]
+    with pytest.raises(RoutingError) as excinfo:
+        backend.switch.process_batch(batch)
+    assert excinfo.value.unknown == ("x", "y")
+    assert (smbm.version, smbm.snapshot()) == before
+    assert not any(META_FILTER_OUTPUT in p.metadata for p in batch)
+
+
+def test_backend_packet_counter_counts_both_entry_points():
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        backend = _make_backend()
+        backend.process(_requesting("a", 1)[0])
+        backend.process_batch(_requesting("b", 3))
+    assert obs.snapshot(registry)["counters"]["backend_packets_total"] == 4
+
+
+def test_write_batch_and_health():
+    backend = _make_backend()
     applied = backend.write_batch([
         TableWrite("a", 1, {"cpu": 5, "mem": 9}),
         TableWrite("a", 2, {"cpu": 3, "mem": 1}),
@@ -172,15 +272,13 @@ def test_write_batch_and_health(cls):
     assert applied == 4
     assert len(backend.manager.get("a").module.smbm) == 1
     health = backend.health()
-    assert health["backend"] == cls.name
     assert health["healthy"] is True
     assert health["tenants"] == 2
     assert health["degraded_tenants"] == []
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_lifecycle_returns_slice_to_pool(cls):
-    backend = _make_backend(cls)
+def test_lifecycle_returns_slice_to_pool():
+    backend = _make_backend()
     free_before = len(backend.manager.free_columns)
     backend.unprogram_tenant("b")
     assert len(backend.manager.free_columns) == free_before + 1
@@ -189,35 +287,13 @@ def test_lifecycle_returns_slice_to_pool(cls):
     assert backend.manager.get("a").module.policy.name == "eligible-min-mem"
 
 
-def test_obs_series_names_identical_across_backends():
-    def series_names(cls):
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            backend = _make_backend(cls)
-            backend.process_batch(_traffic(ProbeCodec(METRICS), _schedule()))
-            backend.write_batch([TableWrite("a", 1, {"cpu": 1, "mem": 2})])
-            ckpt = backend.snapshot_tenant("a")
-            backend.unprogram_tenant("a")
-            backend.restore_tenant(ckpt)
-            snap = obs.snapshot(registry)
-        names = set()
-        for kind in snap.values():
-            for series in kind:
-                names.add(series.split("{")[0])
-        return names
-
-    assert series_names(ScalarBackend) == series_names(BatchedBackend)
-
-
-@pytest.mark.parametrize("src_cls", BACKENDS, ids=lambda c: c.name)
-@pytest.mark.parametrize("dst_cls", BACKENDS, ids=lambda c: c.name)
-def test_checkpoint_roundtrip_is_th015_clean(src_cls, dst_cls):
-    source = _make_backend(src_cls)
+def test_checkpoint_roundtrip_is_th015_clean():
+    source = _make_backend()
     source.write_batch([
         TableWrite("a", i, {"cpu": i * 11 % 60, "mem": i}) for i in range(6)
     ])
     source.hot_swap("a", _policy_b())  # epoch lineage must survive
-    dest = dst_cls(TenantManager(METRICS, smbm_capacity=16))
+    dest = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
     dest.restore_tenant(source.snapshot_tenant("a"))
     report = verify_checkpoint_roundtrip(source, dest, "a")
     assert report.clean, report.describe()
@@ -225,9 +301,9 @@ def test_checkpoint_roundtrip_is_th015_clean(src_cls, dst_cls):
 
 
 def test_th015_flags_post_restore_divergence():
-    source = _make_backend(ScalarBackend)
+    source = _make_backend()
     source.write_batch([TableWrite("a", 1, {"cpu": 4, "mem": 2})])
-    dest = BatchedBackend(TenantManager(METRICS, smbm_capacity=16))
+    dest = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
     dest.restore_tenant(source.snapshot_tenant("a"))
     # Perturb the restored table behind the checkpoint's back.
     dest.manager.get("a").module.update_resource(1, {"cpu": 99, "mem": 2})
@@ -237,11 +313,11 @@ def test_th015_flags_post_restore_divergence():
 
 
 def test_failed_restore_leaves_no_half_tenant():
-    source = _make_backend(ScalarBackend)
+    source = _make_backend()
     ckpt = source.snapshot_tenant("a")
     broken = ckpt.__class__(**{**ckpt.payload(),
                                "smbm_state": {"capacity": 99}})
-    dest = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+    dest = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
     with pytest.raises(Exception):
         dest.restore_tenant(broken)
     assert "a" not in dest.manager
@@ -250,10 +326,6 @@ def test_failed_restore_leaves_no_half_tenant():
 
 def test_build_backend_factory():
     manager = TenantManager(METRICS, smbm_capacity=16)
-    assert isinstance(build_backend("scalar", manager), ScalarBackend)
-    assert isinstance(
-        build_backend("batched", TenantManager(METRICS, smbm_capacity=16)),
-        BatchedBackend,
-    )
+    assert type(build_backend("batched", manager)) is SwitchBackend
     with pytest.raises(ConfigurationError):
-        build_backend("quantum", manager)
+        build_backend("scalar", manager)

@@ -221,11 +221,11 @@ def test_policy_document_rejects_garbage():
 
 
 def _switch_checkpoint():
-    from repro.serving.backend import ScalarBackend, TableWrite
+    from repro.serving.backend import SwitchBackend, TableWrite
     from repro.tenancy.manager import TenantManager, TenantSpec
 
     manager = TenantManager(METRICS, smbm_capacity=16)
-    backend = ScalarBackend(manager)
+    backend = SwitchBackend(manager)
     backend.program_tenant(TenantSpec(
         name="t", policy=Policy(min_of(TableRef(), "cpu"), name="ll"),
         smbm_quota=8,
@@ -250,10 +250,10 @@ def test_file_roundtrip_survives_two_digit_row_ids(tmp_path):
     JSON string forms sort lexicographically ("10" < "2"), so the
     checksum canonicalization must hash what a reader of the file sees
     — any table with a row id >= 10 used to fail verification."""
-    from repro.serving.backend import ScalarBackend, TableWrite
+    from repro.serving.backend import SwitchBackend, TableWrite
     from repro.tenancy.manager import TenantManager, TenantSpec
 
-    backend = ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+    backend = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
     backend.program_tenant(TenantSpec(
         name="t", policy=Policy(min_of(TableRef(), "cpu"), name="ll"),
         smbm_quota=16,

@@ -15,12 +15,11 @@ from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.errors import CompilationError, ConfigurationError
-from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
+from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.controller import Controller
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
-BACKENDS = (ScalarBackend, BatchedBackend)
 
 
 def _policy(name="ll") -> Policy:
@@ -31,13 +30,12 @@ def _spec(name: str) -> TenantSpec:
     return TenantSpec(name=name, policy=_policy(), smbm_quota=8)
 
 
-def _backend(cls=ScalarBackend):
-    return cls(TenantManager(METRICS, smbm_capacity=16))
+def _backend():
+    return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
-@pytest.mark.parametrize("cls", BACKENDS, ids=lambda c: c.name)
-def test_concurrent_clients_admit_and_write(cls):
-    backend = _backend(cls)
+def test_concurrent_clients_admit_and_write():
+    backend = _backend()
 
     async def client(ctl: Controller, name: str) -> None:
         await ctl.add_tenant(_spec(name))
@@ -193,26 +191,23 @@ def test_controller_obs_series():
         snap = obs.snapshot(registry)
     counters = snap["counters"]
     assert counters[
-        'controller_ops_total{backend="scalar",op="add_tenant",outcome="ok"}'
+        'controller_ops_total{op="add_tenant",outcome="ok"}'
     ] == 1
     assert counters[
-        'controller_ops_total{backend="scalar",op="update_resource",'
-        'outcome="ok"}'
+        'controller_ops_total{op="update_resource",outcome="ok"}'
     ] == 3
     assert counters[
-        'controller_ops_total{backend="scalar",op="update_resource",'
-        'outcome="error"}'
+        'controller_ops_total{op="update_resource",outcome="error"}'
     ] == 1
     gauges = snap["gauges"]
-    assert ('controller_queue_depth{backend="scalar",tenant="t"}'
-            in gauges)
+    assert 'controller_queue_depth{tenant="t"}' in gauges
     assert any(k.startswith("controller_apply_ns") for k in snap["histograms"])
 
 
 def test_module_smoke_entrypoint(capsys):
     from repro.serving.controller import main
 
-    assert main(["--backend", "batched", "--writes", "4"]) == 0
+    assert main(["--writes", "4"]) == 0
     out = capsys.readouterr().out
     assert "healthy" in out
     assert "controller_ops_total" in out

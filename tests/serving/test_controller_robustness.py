@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.faults import RetryPolicy
 from repro.rmt.packet import META_TENANT, Packet
-from repro.serving.backend import ScalarBackend, TableWrite
+from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.breaker import BreakerState, CircuitBreakerConfig
 from repro.serving.controller import Controller
 from repro.tenancy.manager import TenantManager, TenantSpec
@@ -40,11 +40,11 @@ def _spec(name: str) -> TenantSpec:
     return TenantSpec(name=name, policy=_policy(), smbm_quota=8)
 
 
-def _backend() -> ScalarBackend:
-    return ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+def _backend() -> SwitchBackend:
+    return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
-class _FlakyBackend(ScalarBackend):
+class _FlakyBackend(SwitchBackend):
     """Wraps write_batch to fail with a transient fault N times per call
     pattern, then succeed — the injected fault the retry satellite needs."""
 
@@ -82,8 +82,7 @@ def test_transient_fault_is_retried_to_success():
     assert backend.attempts == 3  # two transient failures, then success
     assert sorted(backend.manager.get("t").module.smbm.snapshot()) == [1]
     assert registry.value_of("controller_retries_total",
-                             {"op": "update_resource",
-                              "backend": "scalar"}) == 2
+                             {"op": "update_resource"}) == 2
 
 
 def test_permanent_fault_surfaces_as_retry_exhausted_with_context():
@@ -213,8 +212,7 @@ def test_breaker_opens_after_consecutive_failures_and_recloses():
             assert err.value.tenant == "t" and err.value.failures == 3
             assert backend.attempts == applied_before
             assert registry.value_of("circuit_state", {"tenant": "t"}) == 2
-            assert registry.value_of("controller_degraded",
-                                     {"backend": "scalar"}) == 1
+            assert registry.value_of("controller_degraded", {}) == 1
             # Data path keeps serving while the control plane is tripped.
             served = await ctl.process_batch([
                 Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "t"})
@@ -225,8 +223,7 @@ def test_breaker_opens_after_consecutive_failures_and_recloses():
             advance(1.5)
             await ctl.update_resource("t", 3, {"cpu": 3, "mem": 3})
             assert registry.value_of("circuit_state", {"tenant": "t"}) == 0
-            assert registry.value_of("controller_degraded",
-                                     {"backend": "scalar"}) == 0
+            assert registry.value_of("controller_degraded", {}) == 0
 
     with obs.use_registry(registry):
         asyncio.run(scenario())
@@ -342,8 +339,7 @@ def test_saturated_queue_sheds_lowest_priority():
         asyncio.run(scenario())
     assert registry.value_of("controller_shed_total") == 2
     assert registry.value_of(
-        "controller_shed_total", {"op": "update_resource",
-                                  "backend": "scalar"}) == 2
+        "controller_shed_total", {"op": "update_resource"}) == 2
     assert len(backend.manager) == 0  # the evict applied
 
 
@@ -427,7 +423,7 @@ def test_pipelined_burst_group_commits_into_few_frames(tmp_path):
     registry = obs.MetricsRegistry()
     wal_path = tmp_path / "ctl.wal"
 
-    async def scenario() -> ScalarBackend:
+    async def scenario() -> SwitchBackend:
         backend = _backend()
         wal = WriteAheadLog(wal_path, sync="flush")
         async with Controller(backend, wal=wal) as ctl:

@@ -1,8 +1,7 @@
 """Live migration: zero loss, conservation gates, golden-twin traces.
 
 The acceptance scenario: a tenant moves between two switch instances
-(across *different* backend kinds) under continuous writes and traffic.
-A golden twin — a solo FilterModule fed the identical write/evaluate
+under continuous writes and traffic.  A golden twin — a solo FilterModule fed the identical write/evaluate
 schedule, never migrated — defines the bit-identical trace the migrating
 tenant must produce end to end: no packet lost, no write dropped, no
 output changed by the move.
@@ -19,10 +18,11 @@ from repro.core.policy import Policy, TableRef, intersection, min_of, predicate
 from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
 from repro.errors import ConfigurationError, IntegrityError
 from repro.rmt.packet import META_TENANT, Packet
-from repro.serving.backend import BatchedBackend, ScalarBackend, TableWrite
+from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.controller import Controller
 from repro.serving.migration import LiveMigration, MigrationState
 from repro.switch.filter_module import FilterModule
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -37,18 +37,22 @@ def _policy() -> Policy:
     )
 
 
-def _backend(cls):
-    return cls(TenantManager(METRICS, smbm_capacity=16))
+def _backend():
+    return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
 def _admit(backend, name="t"):
     backend.program_tenant(TenantSpec(name, _policy(), smbm_quota=8))
 
 
-def _serve(backend, name="t"):
-    packet = Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
-    backend.process_batch([packet])
-    return packet.metadata[META_FILTER_OUTPUT]
+def _serve(backend, name="t", run=1):
+    """Serve a run of ``run`` requesting packets; all must agree."""
+    packets = [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
+               for _ in range(run)]
+    backend.process_batch(packets)
+    outputs = {p.metadata[META_FILTER_OUTPUT] for p in packets}
+    assert len(outputs) == 1
+    return outputs.pop()
 
 
 def _schedule(rounds=30):
@@ -61,11 +65,13 @@ def _schedule(rounds=30):
 
 
 @pytest.mark.parametrize(
-    "src_cls,dst_cls",
-    [(ScalarBackend, BatchedBackend), (BatchedBackend, ScalarBackend)],
+    "src_run,dst_run",
+    [(1, _MIN_COLUMNAR_RUN), (_MIN_COLUMNAR_RUN, 1)],
     ids=("scalar-to-batched", "batched-to-scalar"),
 )
-def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
+def test_migration_is_zero_loss_against_golden_twin(src_run, dst_run):
+    """Each side serves its runs on one path — per packet (``scalar``)
+    or columnar (``batched``) — and the move stays invisible."""
     steps = _schedule(30)
     # The golden twin: same schedule, no migration, solo module.
     twin = FilterModule(8, METRICS, _policy())
@@ -76,8 +82,8 @@ def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
         else:
             golden.append(twin.evaluate().value)
 
-    src = _backend(src_cls)
-    dst = _backend(dst_cls)
+    src = _backend()
+    dst = _backend()
     _admit(src)
     migration = LiveMigration(src, dst, "t")
     trace = []
@@ -87,14 +93,15 @@ def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
             migration.begin()  # enter dual-running a third of the way in
         if i == 2 * third:
             stats = migration.cutover()  # flip on a version boundary
-        serving = dst if migration.state is MigrationState.COMPLETE else src
+        moved = migration.state is MigrationState.COMPLETE
+        serving, run = (dst, dst_run) if moved else (src, src_run)
         if step[0] == "write":
             if migration.state is MigrationState.DUAL_RUNNING:
                 migration.apply_write(step[1], step[2])
             else:
                 serving.write_batch([TableWrite("t", step[1], step[2])])
         else:
-            trace.append(_serve(serving))
+            trace.append(_serve(serving, run=run))
 
     assert migration.state is MigrationState.COMPLETE
     assert trace == golden  # bit-identical: the move was invisible
@@ -104,7 +111,7 @@ def test_migration_is_zero_loss_against_golden_twin(src_cls, dst_cls):
 
 
 def test_cutover_gate_catches_bypassed_writes():
-    src, dst = _backend(ScalarBackend), _backend(BatchedBackend)
+    src, dst = _backend(), _backend()
     _admit(src)
     src.write_batch([TableWrite("t", 1, {"cpu": 5, "mem": 5})])
     migration = LiveMigration(src, dst, "t")
@@ -122,7 +129,7 @@ def test_cutover_gate_catches_bypassed_writes():
 
 
 def test_cutover_gate_catches_one_sided_hot_swap():
-    src, dst = _backend(ScalarBackend), _backend(ScalarBackend)
+    src, dst = _backend(), _backend()
     _admit(src)
     migration = LiveMigration(src, dst, "t")
     migration.begin()
@@ -132,7 +139,7 @@ def test_cutover_gate_catches_one_sided_hot_swap():
 
 
 def test_abort_returns_destination_slice():
-    src, dst = _backend(ScalarBackend), _backend(BatchedBackend)
+    src, dst = _backend(), _backend()
     _admit(src)
     migration = LiveMigration(src, dst, "t")
     migration.begin()
@@ -145,7 +152,7 @@ def test_abort_returns_destination_slice():
 
 
 def test_migration_state_machine_is_single_use():
-    src, dst = _backend(ScalarBackend), _backend(BatchedBackend)
+    src, dst = _backend(), _backend()
     _admit(src)
     migration = LiveMigration(src, dst, "t")
     with pytest.raises(ConfigurationError):
@@ -167,7 +174,7 @@ def test_controller_migrates_under_concurrent_writes():
     """The end-to-end control-plane path: a client streams writes while
     another migrates the tenant; zero control ops dropped, post-cutover
     table equals a twin that saw every write."""
-    src, dst = _backend(ScalarBackend), _backend(BatchedBackend)
+    src, dst = _backend(), _backend()
     applied = []
 
     async def writer(ctl: Controller) -> None:
@@ -209,7 +216,7 @@ def test_post_migration_serving_caches_rebuild():
     memo/batch/codegen caches reset across restore (counted on the shared
     serving_cache_resets_total path), then rebuild against the restored
     table."""
-    src, dst = _backend(ScalarBackend), _backend(ScalarBackend)
+    src, dst = _backend(), _backend()
     _admit(src)
     src.write_batch([TableWrite("t", 1, {"cpu": 10, "mem": 10}),
                      TableWrite("t", 2, {"cpu": 2, "mem": 20})])

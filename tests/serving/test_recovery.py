@@ -20,7 +20,7 @@ from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.serving._atomic import canonical_bytes
-from repro.serving.backend import ScalarBackend
+from repro.serving.backend import SwitchBackend
 from repro.serving.checkpoint import load_checkpoint
 from repro.serving.controller import Controller
 from repro.serving.recovery import recover
@@ -41,11 +41,11 @@ def _spec(name: str, kind: str = "min") -> TenantSpec:
     return TenantSpec(name=name, policy=_policy(kind), smbm_quota=8)
 
 
-def _backend() -> ScalarBackend:
-    return ScalarBackend(TenantManager(METRICS, smbm_capacity=16))
+def _backend() -> SwitchBackend:
+    return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
-def _factory(_ckpt) -> ScalarBackend:
+def _factory(_ckpt) -> SwitchBackend:
     return _backend()
 
 
@@ -65,7 +65,7 @@ async def _schedule(ctl: Controller) -> None:
     await ctl.remove_tenant("b")
 
 
-def _run_golden() -> ScalarBackend:
+def _run_golden() -> SwitchBackend:
     backend = _backend()
 
     async def run() -> None:

@@ -14,6 +14,7 @@ from repro.core.policy import (
 )
 from repro.errors import ConfigurationError
 from repro.rmt.packet import Packet
+from repro.rmt.pipeline import MatchActionStage
 from repro.rmt.probe import ETHER_HEADER, ETHERTYPE_DATA
 from repro.switch.filter_module import (
     META_FILTER_OUTPUT,
@@ -22,7 +23,7 @@ from repro.switch.filter_module import (
     FilterModule,
 )
 from repro.switch.replication import ReplicatedSMBM, WriteContention
-from repro.switch.thanos_switch import ThanosSwitch
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
 
 METRICS = ("util", "delay")
 
@@ -31,13 +32,18 @@ def least_utilised_policy() -> Policy:
     return Policy(min_of(TableRef(), "util"), name="conga")
 
 
-def make_switch(policy=None) -> ThanosSwitch:
+def make_switch(policy=None, egress_stages=None) -> ThanosSwitch:
     return ThanosSwitch(
         capacity=8,
         metric_names=METRICS,
         policy=policy or least_utilised_policy(),
         params=PipelineParams(n=2, k=2, f=2, chain_length=2),
+        egress_stages=egress_stages,
     )
+
+
+def requesting(n: int) -> list[Packet]:
+    return [Packet(metadata={META_FILTER_REQUEST: 1}) for _ in range(n)]
 
 
 def data_packet() -> Packet:
@@ -166,6 +172,36 @@ class TestThanosSwitch:
         sw.on_event("enqueue", port=3)
         sw.on_event("dequeue", port=3)
         assert sw.filter_module.smbm.metrics_of(3)["util"] == 1
+
+    @pytest.mark.parametrize("length",
+                             [_MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN])
+    def test_process_batch_run_rule_on_a_dedicated_switch(self, length):
+        """Without tenants too, a short run traverses the pipeline packet
+        by packet and a long run is one columnar batch; both serve every
+        packet."""
+        sw = make_switch()
+        sw.filter_module.update_resource(0, {"util": 40, "delay": 1})
+        sw.filter_module.update_resource(1, {"util": 10, "delay": 2})
+        packets = requesting(length)
+        sw.process_batch(packets)
+        columnar = length >= _MIN_COLUMNAR_RUN
+        assert sw.filter_module.batch_counters()["batches"] == int(columnar)
+        assert sw.pipeline.packets_processed == (0 if columnar else length)
+        assert [p.metadata[META_FILTER_SELECTED] for p in packets] == (
+            [1] * length)
+
+    def test_process_batch_with_an_egress_stage_stays_per_packet(self):
+        """Another RMT stage must see each packet in turn, so even a long
+        run is never columnarized."""
+        seen = []
+        egress = MatchActionStage("egress", hook=seen.append)
+        sw = make_switch(egress_stages=[egress])
+        sw.filter_module.update_resource(3, {"util": 5, "delay": 1})
+        packets = requesting(2 * _MIN_COLUMNAR_RUN)
+        sw.process_batch(packets)
+        assert seen == packets
+        assert sw.filter_module.batch_counters()["batches"] == 0
+        assert all(p.metadata[META_FILTER_SELECTED] == 3 for p in packets)
 
     def test_duplicate_event_rejected(self):
         sw = make_switch()

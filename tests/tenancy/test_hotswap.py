@@ -17,7 +17,7 @@ covered.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.operators import RelOp
@@ -30,7 +30,7 @@ from repro.switch.filter_module import (
     META_FILTER_REQUEST,
     FilterModule,
 )
-from repro.switch.thanos_switch import ThanosSwitch
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
 from repro.tenancy import TenantManager, TenantSpec
 
 PARAMS = PipelineParams(n=8)
@@ -47,13 +47,18 @@ def _policies() -> list[Policy]:
     ]
 
 
+#: Batched streams run long enough for batches on both sides of the
+#: switch's per-packet/columnar threshold.
+LONG = 3 * _MIN_COLUMNAR_RUN
+
+
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_packets: int = 20):
     rows = draw(st.lists(
         st.tuples(st.integers(0, 999), st.integers(0, 999)),
         min_size=1, max_size=QUOTA,
     ))
-    n_packets = draw(st.integers(2, 20))
+    n_packets = draw(st.integers(2, max_packets))
     swap_at = draw(st.integers(0, n_packets))
     old = draw(st.integers(0, 2))
     new = draw(st.integers(0, 2).filter(lambda i: i != old))
@@ -122,9 +127,13 @@ def test_hot_swap_scalar_stream_is_hitless(scenario):
 
 
 @settings(max_examples=40)
-@given(scenarios(), st.integers(1, 6))
+@given(scenarios(LONG), st.integers(1, 2 * _MIN_COLUMNAR_RUN))
+@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), _MIN_COLUMNAR_RUN - 1)
+@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), _MIN_COLUMNAR_RUN)
 def test_hot_swap_batched_stream_is_hitless(scenario, batch_size):
-    """Same contract on process_batch; a single batch never mixes plans."""
+    """Same contract on process_batch, with batches short enough to be
+    served per packet and long enough to be served columnar; a single
+    batch never mixes plans."""
     rows, n_packets, swap_at, old, new = scenario
     want_old, want_new = _expected(rows, old), _expected(rows, new)
     mgr, switch = _env(rows, old)

@@ -19,7 +19,7 @@ from repro.switch.filter_module import (
     META_FILTER_REQUEST,
     FilterModule,
 )
-from repro.switch.thanos_switch import ThanosSwitch
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
 from repro.tenancy import TenantManager, TenantSpec
 
 PARAMS = PipelineParams(n=8)
@@ -35,14 +35,15 @@ def _policy_b() -> Policy:
     return Policy(predicate(TableRef(), "load", RelOp.LT, 500), name="pb")
 
 
-def _schedule(rng, rounds: int):
+def _schedule(rng, rounds: int, write_p: float = 0.4):
     """A seeded interleaving of table writes and filter packets for both
     tenants.  Returned as a list of ("write", tenant, rid, metrics) and
-    ("packet", tenant) steps, deterministic in the rng."""
+    ("packet", tenant) steps, deterministic in the rng; each step is a
+    write with probability ``write_p``."""
     steps = []
     for _ in range(rounds):
         tenant = rng.choice(("a", "b"))
-        if rng.random() < 0.4:
+        if rng.random() < write_p:
             steps.append((
                 "write", tenant, rng.randrange(QUOTA),
                 {"q": rng.randrange(1000), "load": rng.randrange(1000)},
@@ -182,8 +183,12 @@ def test_two_tenant_chaos_isolation(rng):
 def test_batched_two_tenant_isolation(rng):
     """The same isolation contract on the batched path: a mixed packet
     stream through process_batch demuxes into per-tenant sub-batches
-    whose outputs match each tenant's solo trace."""
-    steps = _schedule(rng, rounds=80)
+    whose outputs match each tenant's solo trace.  A write-free stretch
+    and a low write rate put runs on both sides of the per-packet /
+    columnar threshold."""
+    steps = (_schedule(rng, rounds=80)
+             + _schedule(rng, rounds=2 * _MIN_COLUMNAR_RUN, write_p=0.0)
+             + _schedule(rng, rounds=80, write_p=0.1))
     golden_a = _golden_trace(steps, _policy_a(), "a")
     golden_b = _golden_trace(steps, _policy_b(), "b")
 
@@ -196,9 +201,11 @@ def test_batched_two_tenant_isolation(rng):
     # them, exactly like the probe-path batching contract.
     trace = {"a": [], "b": []}
     run: list[Packet] = []
+    lengths = []
 
     def flush():
         if run:
+            lengths.append(len(run))
             switch.process_batch(run)
             for p in run:
                 trace[p.metadata[META_TENANT]].append(
@@ -217,5 +224,6 @@ def test_batched_two_tenant_isolation(rng):
             }))
     flush()
 
+    assert min(lengths) < _MIN_COLUMNAR_RUN <= max(lengths)
     assert trace["a"] == golden_a
     assert trace["b"] == golden_b
