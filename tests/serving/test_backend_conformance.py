@@ -149,6 +149,17 @@ def _requesting(tenant, n):
             for _ in range(n)]
 
 
+def _serve(backend, tenant, entry):
+    """Serve one run of :data:`_MIN_COLUMNAR_RUN` requesting packets of
+    ``tenant`` through ``entry``: per packet (``scalar``) or as one
+    ``process_batch`` the switch serves columnar (``batched``).  Returns
+    the (output, epoch) stamped on each packet."""
+    packets = _requesting(tenant, _MIN_COLUMNAR_RUN)
+    ENTRY_POINTS[entry](backend, packets)
+    return [(p.metadata[META_FILTER_OUTPUT], p.metadata[META_FILTER_EPOCH])
+            for p in packets]
+
+
 def _probe(tenant, rid, metrics):
     codec = ProbeCodec(METRICS)
     packet = codec.build_parser().parse(codec.encode(rid, metrics))
@@ -261,7 +272,8 @@ def test_backend_packet_counter_counts_both_entry_points():
     assert obs.snapshot(registry)["counters"]["backend_packets_total"] == 4
 
 
-def test_write_batch_and_health():
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_write_batch_and_health(entry):
     backend = _make_backend()
     applied = backend.write_batch([
         TableWrite("a", 1, {"cpu": 5, "mem": 9}),
@@ -270,14 +282,19 @@ def test_write_batch_and_health():
         TableWrite("b", 4, {"cpu": 50, "mem": 8}),
     ])
     assert applied == 4
-    assert len(backend.manager.get("a").module.smbm) == 1
+    module = backend.manager.get("a").module
+    assert len(module.smbm) == 1
+    # The written table is what either serving path answers from.
+    assert _serve(backend, "a", entry) == \
+        [(module.evaluate().value, 0)] * _MIN_COLUMNAR_RUN
     health = backend.health()
     assert health["healthy"] is True
     assert health["tenants"] == 2
     assert health["degraded_tenants"] == []
 
 
-def test_lifecycle_returns_slice_to_pool():
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_lifecycle_returns_slice_to_pool(entry):
     backend = _make_backend()
     free_before = len(backend.manager.free_columns)
     backend.unprogram_tenant("b")
@@ -285,19 +302,28 @@ def test_lifecycle_returns_slice_to_pool():
     epoch = backend.hot_swap("a", _policy_b())
     assert epoch == 1
     assert backend.manager.get("a").module.policy.name == "eligible-min-mem"
+    # Packets served after the swap carry the new epoch on either path.
+    assert {e for _out, e in _serve(backend, "a", entry)} == {1}
 
 
-def test_checkpoint_roundtrip_is_th015_clean():
+@pytest.mark.parametrize("src,dst", [(s, d) for s in sorted(ENTRY_POINTS)
+                                     for d in sorted(ENTRY_POINTS)],
+                         ids=lambda entry: entry)
+def test_checkpoint_roundtrip_is_th015_clean(src, dst):
+    """The source serves through ``src`` before the checkpoint, the
+    destination through ``dst`` after the restore: both answer alike."""
     source = _make_backend()
     source.write_batch([
         TableWrite("a", i, {"cpu": i * 11 % 60, "mem": i}) for i in range(6)
     ])
     source.hot_swap("a", _policy_b())  # epoch lineage must survive
+    served = _serve(source, "a", src)
     dest = SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
     dest.restore_tenant(source.snapshot_tenant("a"))
     report = verify_checkpoint_roundtrip(source, dest, "a")
     assert report.clean, report.describe()
     assert dest.manager.get("a").plan_epoch == 1
+    assert _serve(dest, "a", dst) == served
 
 
 def test_th015_flags_post_restore_divergence():

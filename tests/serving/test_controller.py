@@ -15,8 +15,11 @@ from repro import obs
 from repro.core.operators import RelOp
 from repro.core.policy import Policy, TableRef, min_of, predicate
 from repro.errors import CompilationError, ConfigurationError
+from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
+from repro.rmt.packet import META_TENANT, Packet
 from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.controller import Controller
+from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -34,7 +37,8 @@ def _backend():
     return SwitchBackend(TenantManager(METRICS, smbm_capacity=16))
 
 
-def test_concurrent_clients_admit_and_write():
+@pytest.mark.parametrize("entry", ["batched", "scalar"])
+def test_concurrent_clients_admit_and_write(entry):
     backend = _backend()
 
     async def client(ctl: Controller, name: str) -> None:
@@ -49,7 +53,19 @@ def test_concurrent_clients_admit_and_write():
     asyncio.run(scenario())
     assert len(backend.manager) == 2
     for name in ("a", "b"):
-        assert len(backend.manager.get(name).module.smbm) == 4
+        module = backend.manager.get(name).module
+        assert len(module.smbm) == 4
+        # The controller's writes are what the data path serves, per
+        # packet (scalar) or as a columnar run (batched).
+        packets = [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
+                   for _ in range(_MIN_COLUMNAR_RUN)]
+        if entry == "scalar":
+            for packet in packets:
+                backend.process(packet)
+        else:
+            backend.process_batch(packets)
+        assert {p.metadata[META_FILTER_OUTPUT] for p in packets} == \
+            {module.evaluate().value}
 
 
 def test_per_tenant_ops_apply_in_submission_order():
