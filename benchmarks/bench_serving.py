@@ -3,11 +3,11 @@
 Five measured sections, each with its correctness assert inline:
 
 * ``serve`` — packets/s through :meth:`SwitchBackend.process_batch` on
-  two seeded tenants, for two streams: one long run of requesting
-  packets (served columnar) and the same packets with a probe every
-  eighth packet (short runs, served per packet).  Every output must
-  equal what per-packet :meth:`SwitchBackend.process` serves on a twin
-  backend fed the same stream.
+  two seeded tenants, swept over run length: streams whose data runs
+  between probes hold 1, 3, 7, 15, 31 or 255 requesting packets.  Every
+  packet's output, selected id and epoch must equal what per-packet
+  :meth:`SwitchBackend.process` stamps on a twin backend fed the same
+  stream.
 * ``control`` — awaited controller ops/s: two concurrent clients stream
   table updates through one
   :class:`~repro.serving.controller.Controller`; every op must resolve,
@@ -69,7 +69,12 @@ from repro.core.policy import (
     min_of,
     predicate,
 )
-from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
+from repro.engine.batch import (
+    META_FILTER_EPOCH,
+    META_FILTER_OUTPUT,
+    META_FILTER_REQUEST,
+    META_FILTER_SELECTED,
+)
 from repro.rmt.packet import META_TENANT, Packet
 from repro.rmt.probe import ProbeCodec
 from repro.serving import (
@@ -120,20 +125,22 @@ def _build(rows: int, seed: int) -> SwitchBackend:
     return backend
 
 
-#: One probe per this many packets on the short-run ``serve`` stream.
-_PROBE_PERIOD = 8
+#: Data-run lengths the ``serve`` sweep measures: a probe follows every
+#: run, so a stream with run length L holds one probe per L + 1 packets.
+RUN_LENGTHS = (1, 3, 7, 15, 31, 255)
+_STAMPS = (META_FILTER_OUTPUT, META_FILTER_SELECTED, META_FILTER_EPOCH)
 
 
-def _stream(n: int, rows: int, probes: bool, seed: int) -> list[Packet]:
-    """``n`` packets alternating between the tenants; with ``probes``,
-    every ``_PROBE_PERIOD``-th is a probe rewriting a seeded row."""
+def _stream(n: int, rows: int, run: int, seed: int) -> list[Packet]:
+    """``n`` packets alternating between the tenants, in runs of ``run``
+    requesting packets each followed by a probe rewriting a seeded row."""
     codec = ProbeCodec(METRICS)
     parser = codec.build_parser()
     rng = random.Random(seed)
     packets = []
     for i in range(n):
         tenant = TENANTS[i % len(TENANTS)]
-        if probes and i % _PROBE_PERIOD == 0:
+        if i % (run + 1) == run:
             packet = parser.parse(codec.encode(
                 rng.randrange(rows),
                 {"cpu": rng.randrange(100), "mem": rng.randrange(64)}))
@@ -145,30 +152,32 @@ def _stream(n: int, rows: int, probes: bool, seed: int) -> list[Packet]:
     return packets
 
 
-# -- serve: long runs (columnar) and short runs (per packet) ---------------------
+def _stamps(packets: list[Packet]) -> list[tuple]:
+    return [tuple(p.metadata.get(key) for key in _STAMPS) for p in packets]
+
+
+# -- serve: a run-length sweep, checked against per-packet serving ----------------
 
 
 def bench_serve(rows: int, n_packets: int, reps: int, seed: int) -> dict:
-    result: dict[str, object] = {"rows": rows, "n_packets": n_packets}
-    for name, probes in (("long_run", False), ("short_run", True)):
+    sweep = []
+    for run in RUN_LENGTHS:
         backend = _build(rows, seed)
         twin = _build(rows, seed)
         best = float("inf")
         for rep in range(reps):
-            packets = _stream(n_packets, rows, probes, seed + rep)
+            packets = _stream(n_packets, rows, run, seed + rep)
             t0 = time.perf_counter()
             backend.process_batch(packets)
             best = min(best, time.perf_counter() - t0)
-            reference = _stream(n_packets, rows, probes, seed + rep)
+            reference = _stream(n_packets, rows, run, seed + rep)
             for packet in reference:
                 twin.process(packet)
-            assert ([p.metadata.get(META_FILTER_OUTPUT) for p in packets]
-                    == [p.metadata.get(META_FILTER_OUTPUT)
-                        for p in reference]), (
-                f"{name}: process_batch diverged from per-packet process"
+            assert _stamps(packets) == _stamps(reference), (
+                f"run {run}: process_batch diverged from per-packet process"
             )
-        result[f"{name}_pkts_per_s"] = round(n_packets / best)
-    return result
+        sweep.append({"run": run, "pkts_per_s": round(n_packets / best)})
+    return {"rows": rows, "n_packets": n_packets, "sweep": sweep}
 
 
 # -- control: awaited controller op throughput ------------------------------------
@@ -405,7 +414,7 @@ def run_bench(quick: bool = False, seed: int = 11) -> dict:
             "bench": "serving",
             "quick": quick,
             "seed": seed,
-            "serve": bench_serve(rows, 64 if quick else 512,
+            "serve": bench_serve(rows, 256 if quick else 1024,
                                  3 if quick else 10, seed),
             "control": bench_control(rows, 32 if quick else 256, seed),
             "wal": bench_wal(rows, 512 if quick else 4096,
@@ -429,8 +438,9 @@ def _report_text(data: dict) -> str:
     ctl, wal = data["control"], data["wal"]
     lines = [
         f"serving bench (quick={data['quick']}, seed={data['seed']}):",
-        f"  serve    long run {serve['long_run_pkts_per_s']:>10,} pkt/s   "
-        f"short runs {serve['short_run_pkts_per_s']:>10,} pkt/s",
+        "  serve    " + "   ".join(
+            f"run {row['run']}: {row['pkts_per_s']:,} pkt/s"
+            for row in serve["sweep"]),
         f"  control  {ctl['ops_per_s']:>10,} ops/s "
         f"({ctl['ops']} ops awaited)",
         f"  wal      off {wal['off_us_per_op']:>6.2f} us/op   "
@@ -472,8 +482,9 @@ def main(argv: list[str] | None = None) -> dict:
 def test_serving_bench_quick():
     """pytest entry point: quick sweep, correctness asserts only."""
     data = run_bench(quick=True)
-    assert data["serve"]["long_run_pkts_per_s"] > 0
-    assert data["serve"]["short_run_pkts_per_s"] > 0
+    sweep = {row["run"]: row["pkts_per_s"] for row in data["serve"]["sweep"]}
+    assert sorted(sweep) == list(RUN_LENGTHS)
+    assert all(rate > 0 for rate in sweep.values())
     assert data["migration"]["zero_loss"]
     assert data["checkpoint"]["roundtrip_findings"] == 0
 

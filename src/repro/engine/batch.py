@@ -108,6 +108,7 @@ class PacketBatch:
         """A homogeneous batch: every packet filters the full table."""
         return cls(size)
 
+    # Off the switch's packet path; kept because perfbench/spans.py patches it.
     @classmethod
     def from_packets(
         cls, packets: "Sequence[Packet]", field_names: Iterable[str] = ()
@@ -211,6 +212,7 @@ class PacketBatch:
 
     # -- write-back -------------------------------------------------------------------
 
+    # Off the switch's packet path; kept because perfbench/spans.py patches it.
     def scatter(self) -> None:
         """Write the output columns back onto the source packets' metadata
         (no-op rows whose packets did not request filtering, exactly like

@@ -115,7 +115,10 @@ class Packet:
         raise ConfigurationError(f"packet has no {name!r} header")
 
     def has_header(self, name: str) -> bool:
-        return any(hname == name for hname, _values in self.headers)
+        for hname, _values in self.headers:
+            if hname == name:
+                return True
+        return False
 
     def push_header(self, name: str, values: Mapping[str, int]) -> None:
         self.headers.append((name, dict(values)))

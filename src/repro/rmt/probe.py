@@ -107,13 +107,18 @@ class ProbeCodec:
         return packet.serialize({"ether": ETHER_HEADER, "probe": self._probe_header})
 
     def decode(self, packet: Packet) -> ProbeUpdate | None:
-        """Extract the probe update from a parsed packet; None if not a probe."""
-        if not packet.has_header("probe"):
-            return None
-        values = packet.header("probe")
-        return ProbeUpdate(
-            resource_id=values["resource_id"],
-            metrics={
-                name: values[name] - _METRIC_OFFSET for name in self._metric_names
-            },
-        )
+        """Extract the probe update from a parsed packet; None if not a probe.
+
+        One scan of the header stack: the probe header may sit anywhere
+        in it, and a data packet (headers or not) decodes to ``None``.
+        """
+        for hname, values in packet.headers:
+            if hname == "probe":
+                return ProbeUpdate(
+                    resource_id=values["resource_id"],
+                    metrics={
+                        name: values[name] - _METRIC_OFFSET
+                        for name in self._metric_names
+                    },
+                )
+        return None

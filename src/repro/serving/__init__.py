@@ -11,8 +11,8 @@ Layers, bottom up:
 * :mod:`repro.serving.recovery` — idempotent crash recovery: checkpoint
   restore plus exactly-once WAL-suffix replay;
 * :mod:`repro.serving.backend` — :class:`SwitchBackend`, the one switch
-  a control plane programs against; it serves each run of data packets
-  per packet or columnar by the run's length;
+  a control plane programs against; it serves a packet stream in one
+  pass that filters each run of data packets as one batch per tenant;
 * :mod:`repro.serving.breaker` — the per-tenant control-plane circuit
   breaker;
 * :mod:`repro.serving.controller` — the asyncio control plane: many

@@ -9,10 +9,10 @@ drives.  Everything above it — the asyncio
 recovery, the chaos harness — is written against this class.
 
 Serving has no mode to choose: :meth:`SwitchBackend.process_batch` hands
-the stream to :meth:`ThanosSwitch.process_batch`, which serves each run
-of data packets between probes per packet or through the columnar batch
-tiers by the run's length, and checks the whole batch's routing before
-any packet is served.
+the stream to :meth:`ThanosSwitch.process_batch`, which makes one pass
+over it, checks the whole batch's routing before any packet is served,
+applies probes in arrival order and filters each run of data packets
+between them as one batch per tenant.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class SwitchBackend:
         }
 
 
-#: Kept for ``perfbench/``, which imports this name.
+#: Kept for ``perfbench/``, which imports and patches this name.
 BatchedBackend = SwitchBackend
 
 

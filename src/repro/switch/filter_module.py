@@ -863,9 +863,7 @@ class FilterModule:
         else:
             [out], _ = self._evaluate_masked([int(mask)])
         meta[META_FILTER_OUTPUT] = out
-        meta[META_FILTER_SELECTED] = (
-            (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
-        )
+        meta[META_FILTER_SELECTED] = _singleton(out)
         meta[META_FILTER_EPOCH] = self._plan_epoch
 
     # -- batched processing -------------------------------------------------------------
@@ -921,70 +919,125 @@ class FilterModule:
 
     def evaluate_batch(
         self, packets: "Sequence[Packet] | PacketBatch"
-    ) -> PacketBatch:
-        """Filter a whole batch of packets through the columnar tiers.
+    ) -> PacketBatch | None:
+        """Filter a whole batch of packets through the batch tiers.
 
-        Accepts a packet sequence (columnarised here) or a prepared
-        :class:`PacketBatch`.  Rows split by shape:
+        Accepts a packet sequence or a prepared :class:`PacketBatch`;
+        both go through the same row split (:meth:`_filter_rows`):
 
         * **uniform rows** (no ``META_FILTER_INPUT`` mask) of a stateless
-          policy collapse to a *single* policy evaluation per batch — the
-          version-keyed memo now effectively keys on the batch signature
-          ``(smbm.version, uniform)``, and the result is broadcast;
+          policy collapse to a *single* memoized policy evaluation per
+          batch, broadcast to every row;
         * **masked rows** run through the plan's kernel when it has one,
           else the interpreted columnar evaluator;
-        * anything neither tier can express (stateful policies,
-          caller-supplied inputs) falls back to the scalar per-row path,
-          preserving exact per-packet semantics.
+        * a stateful policy's rows go one by one in arrival order (its
+          outputs advance per packet), as do masked rows of a plan
+          neither tier can express, preserving exact per-packet
+          semantics.
 
-        Rows not requesting filtering are left untouched.  The filled
-        output columns are returned on the batch; for a batch built from
-        packets, :meth:`PacketBatch.scatter` writes them back to packet
-        metadata (done here automatically).
+        Rows not requesting filtering are left untouched.  A packet
+        sequence gets output, selected id and epoch written straight
+        into each requesting packet's metadata (returns ``None``); a
+        :class:`PacketBatch` gets them in its columns and is returned.
         """
-        built_here = not isinstance(packets, PacketBatch)
-        batch = PacketBatch.from_packets(packets) if built_here else packets
-        rows = batch.requesting_indices()
-        self._batches += 1
-        self._batch_rows += len(rows)
-        if self._obs_enabled:
-            self._obs_batch_size.observe(len(rows))
-        if not rows:
-            return batch
-        outputs = batch.outputs
-        masks = batch.input_masks
-        uniform = [i for i in rows if masks is None or masks[i] is None]
-        masked = [i for i in rows if masks is not None and masks[i] is not None]
-        if uniform:
-            if self._compiled.stateless:
-                out = self.evaluate().value
-                for i in uniform:
-                    outputs[i] = out
-                self._batch_broadcast_rows += len(uniform)
-            else:
-                # Stateful outputs advance per packet: no collapse is legal.
-                for i in uniform:
-                    outputs[i] = self.evaluate().value
-                self._batch_fallback_rows += len(uniform)
-        if masked:
-            row_masks = [masks[i] for i in masked]  # type: ignore[index]
-            outs, by_engine = self._evaluate_masked(row_masks)
-            if by_engine:
-                self._batch_engine_rows += len(masked)
-            else:
-                self._batch_fallback_rows += len(masked)
-            for i, out in zip(masked, outs):
+        if isinstance(packets, PacketBatch):
+            batch = packets
+            rows = batch.requesting_indices()
+            col = batch.input_masks
+            shared, out, own, outs = self._filter_rows(
+                rows, [None] * len(rows) if col is None
+                else [col[i] for i in rows])
+            outputs, selected, epochs = (batch.outputs, batch.selected,
+                                         batch.epochs)
+            epoch = self._plan_epoch
+            sel = _singleton(out)
+            for i in shared:
                 outputs[i] = out
-        selected = batch.selected
-        epochs = batch.epochs
+                selected[i] = sel
+                epochs[i] = epoch
+            for i, out in zip(own, outs):
+                outputs[i] = out
+                selected[i] = _singleton(out)
+                epochs[i] = epoch
+            return batch
+        metas = []
+        masks = []
+        for packet in packets:
+            meta = packet.metadata
+            if meta.get(META_FILTER_REQUEST):
+                metas.append(meta)
+                masks.append(meta.get(META_FILTER_INPUT))
+        shared, out, own, outs = self._filter_rows(metas, masks)
         epoch = self._plan_epoch
-        for i in rows:
-            out = outputs[i]
-            assert out is not None
-            selected[i] = (
+        if shared:
+            # The broadcast rows share one stamp: one dict update each.
+            stamp = {META_FILTER_OUTPUT: out,
+                     META_FILTER_SELECTED: _singleton(out),
+                     META_FILTER_EPOCH: epoch}
+            for meta in shared:
+                meta.update(stamp)
+        for meta, out in zip(own, outs):
+            meta[META_FILTER_OUTPUT] = out
+            # _singleton inlined: this loop runs once per masked row.
+            meta[META_FILTER_SELECTED] = (
                 (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1
             )
-            epochs[i] = epoch
-        if built_here:
-            batch.scatter()
-        return batch
+            meta[META_FILTER_EPOCH] = epoch
+        return None
+
+    def _filter_rows(
+        self, rows: list, masks: "list[int | None]"
+    ) -> tuple[list, int, list, list[int]]:
+        """The row split of :meth:`evaluate_batch`.
+
+        ``rows`` are the requesting rows in arrival order (whatever the
+        caller writes results to) and ``masks[i]`` is row ``i``'s
+        candidate mask, ``None`` for the full table.  Returns
+        ``(shared, output, own, outputs)``: the ``shared`` rows all get
+        ``output``, and each of the ``own`` rows gets its entry of
+        ``outputs``.  The uniform rows of a stateless plan are shared and
+        cost one memoized evaluation; its masked rows are served by one
+        masked-engine call; a stateful plan's rows are all its own,
+        evaluated one by one in arrival order.
+        """
+        n = len(rows)
+        self._batches += 1
+        self._batch_rows += n
+        if self._obs_enabled:
+            self._obs_batch_size.observe(n)
+        uniform = masks.count(None)
+        if not self._compiled.stateless:
+            # Stateful outputs advance per packet: no collapse is legal.
+            outs = []
+            for mask in masks:
+                if mask is None:
+                    outs.append(self.evaluate().value)
+                else:
+                    [out], by_engine = self._evaluate_masked([int(mask)])
+                    outs.append(out)
+                    self._count_masked_rows(1, by_engine)
+            self._batch_fallback_rows += uniform
+            return [], 0, rows, outs
+        out = 0
+        if uniform:
+            self._batch_broadcast_rows += uniform
+            out = self.evaluate().value
+        if uniform == n:
+            return rows, out, [], []
+        shared = [row for row, mask in zip(rows, masks) if mask is None]
+        own = [row for row, mask in zip(rows, masks) if mask is not None]
+        outs, by_engine = self._evaluate_masked(
+            [int(mask) for mask in masks if mask is not None])
+        self._count_masked_rows(len(own), by_engine)
+        return shared, out, own, outs
+
+    def _count_masked_rows(self, rows: int, by_engine: bool) -> None:
+        if by_engine:
+            self._batch_engine_rows += rows
+        else:
+            self._batch_fallback_rows += rows
+
+
+def _singleton(out: int) -> int:
+    """The ``filter_selected`` value: the one set id, or -1."""
+    return (out & -out).bit_length() - 1 if out.bit_count() == 1 else -1

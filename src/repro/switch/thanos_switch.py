@@ -15,8 +15,9 @@ Ties together the four tasks of implementing a filter policy:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
+from repro import obs
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import Policy
 from repro.errors import ConfigurationError
@@ -30,18 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a runtime switch<->tenancy cycle
     from repro.tenancy.manager import TenantManager
 
 __all__ = ["ThanosSwitch", "META_TENANT"]
-
-#: Shortest data run :meth:`ThanosSwitch.process_batch` serves through the
-#: columnar tiers; shorter runs go packet by packet.  Columnarizing a run
-#: (build the batch, demux it, scatter the outputs) costs a fixed overhead
-#: that the per-row savings repay only over enough rows.  Measured on two
-#: tenants of 512 rows (the perfbench tables), a probe every L packets so
-#: runs hold L-1 data packets, us per packet, per-packet vs columnar
-#: (2-core Xeon, CPython 3.11): L=12 10.8 vs 12.4, L=16 9.5 vs 10.1,
-#: L=20 9.5 vs 8.6, L=32 8.3 vs 7.0; with a candidate mask on every row,
-#: L=16 11.9 vs 12.6 and L=20 12.6 vs 12.2.  Both cross between runs of
-#: 15 and 19 packets.
-_MIN_COLUMNAR_RUN = 16
 
 #: A local-metric event handler maps (event name, event args) to SMBM writes.
 EventHandler = Callable[["ThanosSwitch", Mapping[str, int]], None]
@@ -99,6 +88,13 @@ class ThanosSwitch:
         self._pipeline = RMTPipeline(stages)
         self._event_handlers: dict[str, EventHandler] = {}
         self._probes_processed = 0
+        # Data runs served, by path: plain ints published at collect time
+        # (the FilterModule counter discipline).
+        self._columnar_runs = 0
+        self._pipeline_runs = 0
+        registry = obs.get_registry()
+        if registry.enabled:
+            registry.add_hook(self._obs_collect)
 
     @classmethod
     def multi_tenant(
@@ -141,6 +137,18 @@ class ThanosSwitch:
             return
         self._tenant_of(packet).hook(packet)
 
+    def _obs_collect(self):
+        """Collect hook: publish the run counters as samples."""
+        for path, runs in (("columnar", self._columnar_runs),
+                           ("pipeline", self._pipeline_runs)):
+            yield obs.Sample(
+                "switch_runs_total", runs, labels=(("path", path),),
+                help="data runs served, by path: columnar = one batch "
+                     "call per tenant group, pipeline = packet by packet "
+                     "through the RMT stages (a process() call is a run "
+                     "of one)",
+            )
+
     @property
     def pipeline(self) -> RMTPipeline:
         return self._pipeline
@@ -162,7 +170,9 @@ class ThanosSwitch:
         if update is not None:
             self._apply_probe(packet, update)
             return packet
-        return self._pipeline.process(packet)
+        self._pipeline.process(packet)
+        self._pipeline_runs += 1
+        return packet
 
     def _apply_probe(self, packet: Packet, update: ProbeUpdate) -> None:
         module = (self._filter if self._tenants is None
@@ -173,20 +183,23 @@ class ThanosSwitch:
 
     def process_batch(self, packets: Sequence[Packet]) -> list[Packet]:
         """Process a packet stream with the per-packet semantics of
-        :meth:`process`, serving long data runs in columnar batches.
+        :meth:`process`, in one pass over the stream.
 
-        Probe packets are applied to the SMBM **in arrival order** — they
-        act as batch boundaries, so every data packet sees exactly the
-        table state it would have seen under :meth:`process`.  A run of
-        data packets between probes goes through
-        :meth:`FilterModule.evaluate_batch` when the filter is the only
-        RMT stage and the run holds at least :data:`_MIN_COLUMNAR_RUN`
-        packets; otherwise each packet traverses the per-packet pipeline
-        (ingress/egress stages' tables and register charges must
-        interleave per packet, and a short run does not repay the cost of
-        columnarizing it).  Only the per-packet path advances the RMT
-        pipeline's ``packets_processed`` counter; columnar rows are
-        counted by the filter module's batch counters.
+        The pass decodes each packet once and cuts the stream at probes
+        into data runs.  Probes are applied to the SMBM **in arrival
+        order**, each after the run before it is served, so every data
+        packet sees exactly the table state it would have seen under
+        :meth:`process`.  When the filter is the only RMT stage, each
+        run's requesting packets are grouped by ``META_TENANT`` (one
+        group on a dedicated switch) and each group is filtered by one
+        :meth:`FilterModule.evaluate_batch` call, which writes the
+        outputs straight into packet metadata; packets that do not
+        request filtering are left alone.  With ingress or egress stages
+        every packet traverses the per-packet pipeline instead: other
+        stages' tables and register charges must interleave per packet.
+        Only the pipeline advances the RMT pipeline's
+        ``packets_processed`` counter; ``switch_runs_total`` counts the
+        runs each path served.
 
         On a multi-tenant switch the batch is all-or-nothing: every probe
         and every requesting packet is checked for a routable
@@ -195,43 +208,82 @@ class ThanosSwitch:
         :class:`~repro.errors.RoutingError`.
         """
         decode = self._codec.decode
-        # One pass decodes each packet once and cuts the stream into
-        # (data run, probe ending it) segments; nothing is applied yet.
-        segments: list[tuple[list[Packet], Packet, ProbeUpdate]] = []
-        routed: list[Packet] = []
-        run: list[Packet] = []
+        fused = self._filter_only
+        keyed = self._tenants is not None
+        # A fused run maps tenant label (None on a dedicated switch) to
+        # its requesting packets; a pipeline run lists every data packet.
+        # runs[i] is served before probes[i] is applied.
+        run: Any = {} if fused else []
+        runs = [run]
+        probes: list[tuple[Packet, ProbeUpdate]] = []
         for packet in packets:
             update = decode(packet)
-            if update is None:
+            if update is not None:
+                probes.append((packet, update))
+                run = {} if fused else []
+                runs.append(run)
+            elif not fused:
                 run.append(packet)
-                if packet.metadata.get(META_FILTER_REQUEST):
-                    routed.append(packet)
             else:
-                segments.append((run, packet, update))
-                routed.append(packet)
-                run = []
-        if self._demux is not None:
-            self._demux.check(routed)
-        for data, probe, update in segments:
-            self._serve_run(data)  # writes may not reorder past reads
+                meta = packet.metadata
+                if meta.get(META_FILTER_REQUEST):
+                    key = meta.get(META_TENANT) if keyed else None
+                    group = run.get(key)
+                    if group is None:
+                        run[key] = [packet]
+                    else:
+                        group.append(packet)
+        if keyed:
+            self._check_routing(runs, probes)
+        serve = self._serve_groups if fused else self._serve_pipeline
+        for before, (probe, update) in zip(runs, probes):
+            serve(before)  # writes may not reorder past reads
             self._apply_probe(probe, update)
-        self._serve_run(run)
+        serve(runs[-1])
         return list(packets)
 
-    def _serve_run(self, run: list[Packet]) -> None:
-        if not self._filter_only or len(run) < _MIN_COLUMNAR_RUN:
+    def _check_routing(self, runs: list, probes: list) -> None:
+        """Count the probes and requesting packets per ``META_TENANT``
+        label and let the demux reject the batch if any label is unknown
+        or missing."""
+        assert self._demux is not None
+        counts: dict[str | None, int] = {}
+        for probe, _update in probes:
+            label = probe.metadata.get(META_TENANT)
+            counts[label] = counts.get(label, 0) + 1
+        for run in runs:
+            if self._filter_only:
+                for label, group in run.items():
+                    counts[label] = counts.get(label, 0) + len(group)
+                continue
             for packet in run:
-                self._pipeline.process(packet)
-        elif self._tenants is None:
+                meta = packet.metadata
+                if meta.get(META_FILTER_REQUEST):
+                    label = meta.get(META_TENANT)
+                    counts[label] = counts.get(label, 0) + 1
+        self._demux.check_labels(counts)
+
+    def _serve_groups(self, run: dict) -> None:
+        """Filter one run's per-tenant groups, one batch call each.
+        Tenants' tables are disjoint, so group order is immaterial;
+        within a group arrival order is kept."""
+        if not run:
+            return
+        self._columnar_runs += 1
+        if self._tenants is None:
             assert self._filter is not None
-            self._filter.evaluate_batch(run)
-        else:
-            # Demux the run into per-tenant sub-batches.  Tenants' tables
-            # are disjoint, so sub-batch order is immaterial; within each
-            # tenant arrival order is preserved.
-            assert self._demux is not None
-            for name, pkts in self._demux.partition(run).items():
-                self._tenants.get(name).module.evaluate_batch(pkts)
+            self._filter.evaluate_batch(run[None])
+            return
+        for label, group in run.items():
+            self._tenants.get(label).module.evaluate_batch(group)
+
+    def _serve_pipeline(self, run: list) -> None:
+        if not run:
+            return
+        self._pipeline_runs += 1
+        process = self._pipeline.process
+        for packet in run:
+            process(packet)
 
     def filter_for(self, packet: Packet) -> Packet:
         """Convenience: mark the packet for filtering and process it."""

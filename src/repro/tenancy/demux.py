@@ -19,7 +19,7 @@ once:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.engine.batch import META_FILTER_REQUEST
 from repro.errors import ConfigurationError, RoutingError
@@ -60,23 +60,19 @@ class TenantDemux:
         except ConfigurationError as exc:
             raise RoutingError(str(exc), unknown=(name,)) from None
 
-    def check(self, packets: Iterable[Packet]) -> None:
-        """Require every packet given to route to an admitted tenant.
+    def check_labels(self, counts: Mapping[str | None, int]) -> None:
+        """Require every routed packet to name an admitted tenant.
 
-        The caller picks which packets must route (a switch passes its
-        probes and requesting data packets).  The check has no side
-        effect, so a batch can be checked whole before any packet of it
-        is served.
+        ``counts`` maps each ``META_TENANT`` label seen on the packets
+        that must route (a switch counts its probes and requesting data
+        packets) to how many carried it; ``None`` counts the unlabelled
+        ones.  The check has no side effect, so a batch can be checked
+        whole before any packet of it is served.
         """
-        unknown: list[str] = []
-        unlabelled = 0
         admitted = self._manager
-        for packet in packets:
-            name = packet.metadata.get(META_TENANT)
-            if name is None:
-                unlabelled += 1
-            elif name not in admitted and name not in unknown:
-                unknown.append(name)
+        unknown = [name for name in counts
+                   if name is not None and name not in admitted]
+        unlabelled = counts.get(None, 0)
         if not (unknown or unlabelled):
             return
         parts = []
@@ -98,13 +94,14 @@ class TenantDemux:
             unlabelled=unlabelled,
         )
 
+    # Off the packet path; kept because perfbench/spans.py patches it.
     def partition(self, packets: Sequence[Packet]) -> dict[str, list[Packet]]:
         """Split a batch's requesting packets into per-tenant sub-batches,
         arrival order kept: ``{tenant_name: [packets...]}``.
 
         Packets not carrying ``META_FILTER_REQUEST`` bypass demux
         entirely — they touch no tenant's module, so they need no label.
-        The batch must have passed :meth:`check`; routing is not checked
+        The batch must have passed :meth:`check_labels`; routing is not checked
         again here.
         """
         by_tenant: dict[str, list[Packet]] = {}

@@ -162,6 +162,34 @@ class TestProbeCodec:
         packet = codec.build_parser().parse(wire + b"data")
         assert codec.decode(packet) is None
 
+    def test_probe_header_found_below_other_headers(self):
+        """The probe header need not head the stack: decode finds it
+        behind an outer encapsulation and an ether header."""
+        codec = ProbeCodec(["util", "delay"])
+        probe = codec.build_parser().parse(codec.encode(9, {"util": 4,
+                                                            "delay": -1}))
+        packet = Packet()
+        packet.push_header("ip", {"src": 1, "dst": 2, "proto": 17})
+        for name, values in probe.headers:
+            packet.push_header(name, values)
+        assert [name for name, _ in packet.headers] == ["ip", "ether",
+                                                        "probe"]
+        update = codec.decode(packet)
+        assert update is not None
+        assert (update.resource_id, update.metrics) == (
+            9, {"util": 4, "delay": -1})
+
+    def test_data_packet_with_a_header_stack_decodes_to_none(self):
+        codec = ProbeCodec(["util"])
+        packet = Packet()
+        packet.push_header("ether", {"dst": 0, "src": 0,
+                                     "ethertype": ETHERTYPE_DATA})
+        packet.push_header("ip", {"src": 1, "dst": 2, "proto": 6})
+        packet.push_header("l4", {"sport": 80, "dport": 443})
+        assert not packet.has_header("probe")
+        assert packet.has_header("l4")
+        assert codec.decode(packet) is None
+
     def test_schema_mismatch_rejected(self):
         codec = ProbeCodec(["util"])
         with pytest.raises(ConfigurationError):

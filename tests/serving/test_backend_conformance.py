@@ -1,13 +1,14 @@
 """The serving backend's conformance suite.
 
-:class:`SwitchBackend` serves every run of data packets between probes
-either per packet or through the columnar tiers, chosen by the run's
-length; both paths must be observably identical.  The same traffic must
-produce the golden trace of a solo FilterModule oracle whichever path
-serves it, ``process`` and ``process_batch`` must agree packet for
-packet, routing errors must keep their all-violations shape and leave a
-rejected batch wholly unserved, and checkpoints must round-trip
-TH015-clean.
+:class:`SwitchBackend` serves a packet stream per packet (``process``)
+or in one pass that filters each run of data packets between probes as
+per-tenant batches (``process_batch``); both must be observably
+identical.  The same traffic must produce the golden trace of a solo
+FilterModule oracle whichever entry point serves it, ``process`` and
+``process_batch`` must agree packet for packet, routing errors must keep
+their all-violations shape and leave a rejected batch wholly unserved on
+the columnar and the pipeline path alike, and checkpoints must
+round-trip TH015-clean.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from repro.engine.batch import (
 )
 from repro.errors import ConfigurationError, RoutingError
 from repro.rmt.packet import META_TENANT, Packet
+from repro.rmt.pipeline import MatchActionStage
 from repro.rmt.probe import ProbeCodec
 from repro.serving.backend import SwitchBackend, TableWrite, build_backend
 from repro.switch.filter_module import META_FILTER_EPOCH, FilterModule
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
+from repro.switch.thanos_switch import ThanosSwitch
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -55,9 +57,13 @@ def _make_backend():
     return backend
 
 
-#: Data-run lengths between probes: short runs (served per packet), long
-#: runs (served columnar) and each side of the threshold exactly.
-RUNS = (4, 4, 20, 3, 1, _MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN, 33, 0, 7)
+#: Packets per run in tests that serve one run; long enough that a
+#: per-run cost would show against per-packet serving.
+RUN = 16
+
+#: Data-run lengths between probes: empty, single-packet, short and long
+#: runs (16 was once the shortest run served columnar).
+RUNS = (4, 4, 20, 3, 1, RUN - 1, RUN, 33, 0, 7)
 
 
 def _schedule():
@@ -150,11 +156,11 @@ def _requesting(tenant, n):
 
 
 def _serve(backend, tenant, entry):
-    """Serve one run of :data:`_MIN_COLUMNAR_RUN` requesting packets of
-    ``tenant`` through ``entry``: per packet (``scalar``) or as one
+    """Serve one run of :data:`RUN` requesting packets of ``tenant``
+    through ``entry``: per packet (``scalar``) or as one
     ``process_batch`` the switch serves columnar (``batched``).  Returns
     the (output, epoch) stamped on each packet."""
-    packets = _requesting(tenant, _MIN_COLUMNAR_RUN)
+    packets = _requesting(tenant, RUN)
     ENTRY_POINTS[entry](backend, packets)
     return [(p.metadata[META_FILTER_OUTPUT], p.metadata[META_FILTER_EPOCH])
             for p in packets]
@@ -175,8 +181,7 @@ def test_backend_matches_solo_module_oracle(entry):
 
 
 def test_process_and_process_batch_serve_identical_traces():
-    """Per-packet ``process`` and run-length-chosen ``process_batch``
-    agree on every output and every epoch stamp, masked rows and a
+    """Per-packet ``process`` and one-pass ``process_batch`` agree on every output and every epoch stamp, masked rows and a
     hot-swap between two halves of the stream included."""
     steps = _schedule()
     assert any(step[0] == "data" and step[2] is not None for step in steps)
@@ -193,30 +198,65 @@ def test_process_and_process_batch_serve_identical_traces():
     assert epochs == {0, 1}
 
 
-@pytest.mark.parametrize("length", [_MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN])
+def _runs_by_path(registry):
+    return {path: registry.value_of("switch_runs_total", {"path": path})
+            for path in ("columnar", "pipeline")}
+
+
+@pytest.mark.parametrize("length", [1, RUN - 1, RUN])
 def test_run_length_picks_the_serving_path(length):
-    """A run shorter than the threshold is served packet by packet (one
-    evaluation each, no batch); a run at the threshold is one columnar
-    batch whose single evaluation is broadcast to every row."""
+    """A run of any length on the backend's filter-only switch is one
+    columnar run: one batch whose single evaluation is broadcast to
+    every row, with no packet through the pipeline."""
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         backend = _make_backend()
         backend.process_batch(_requesting("a", length))
+    assert _runs_by_path(registry) == {"columnar": 1, "pipeline": 0}
     batches = registry.value_of("filter_batches_total")
     evaluations = registry.value_of("filter_evaluations_total")
-    if length < _MIN_COLUMNAR_RUN:
-        assert (batches, evaluations) == (0, length)
-    else:
-        assert (batches, evaluations) == (1, 1)
+    assert (batches, evaluations) == (1, 1)
 
 
-@pytest.mark.parametrize("pad", [0, _MIN_COLUMNAR_RUN],
+def test_a_switch_with_an_egress_stage_serves_runs_per_packet():
+    """With another RMT stage a run goes through the pipeline; so does
+    every ``process`` call, counted as a run of one."""
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        backend = _make_backend()
+        switch = ThanosSwitch.multi_tenant(
+            backend.manager,
+            egress_stages=[MatchActionStage("egress", hook=lambda p: None)])
+        switch.process_batch(_requesting("a", RUN))
+        assert _runs_by_path(registry) == {"columnar": 0, "pipeline": 1}
+        assert registry.value_of("filter_batches_total") == 0
+        assert registry.value_of("filter_evaluations_total") == RUN
+        backend.process(_requesting("b", 1)[0])
+        assert _runs_by_path(registry) == {"columnar": 0, "pipeline": 2}
+
+
+def _serve_columnar(backend, batch):
+    backend.process_batch(batch)
+
+
+def _serve_pipeline(backend, batch):
+    """The same batch through a switch over the backend's tenants whose
+    egress stage forces the per-packet pipeline path."""
+    ThanosSwitch.multi_tenant(
+        backend.manager,
+        egress_stages=[MatchActionStage("egress", hook=lambda p: None)],
+    ).process_batch(batch)
+
+
+@pytest.mark.parametrize("serve", [_serve_pipeline, _serve_columnar],
                          ids=("scalar", "batched"))
-def test_unknown_labels_aggregate_into_one_routing_error(pad):
-    """``pad`` valid packets put the violations in a run the per-packet
-    path (``scalar``) or the columnar path (``batched``) would serve."""
+def test_unknown_labels_aggregate_into_one_routing_error(serve):
+    """The violations follow a run of valid packets that the per-packet
+    pipeline (``scalar``) or the columnar pass (``batched``) would
+    serve; either way the batch is rejected whole with every
+    violation."""
     backend = _make_backend()
-    batch = _requesting("a", pad) + [
+    batch = _requesting("a", RUN) + [
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "ghost"}),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "a"}),
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "zombie"}),
@@ -224,7 +264,7 @@ def test_unknown_labels_aggregate_into_one_routing_error(pad):
         Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: "ghost"}),
     ]
     with pytest.raises(RoutingError) as excinfo:
-        backend.process_batch(batch)
+        serve(backend, batch)
     assert excinfo.value.unknown == ("ghost", "zombie")
     assert excinfo.value.unlabelled == 1
     # All-or-nothing: the known tenant's packets were not served either.
@@ -286,7 +326,7 @@ def test_write_batch_and_health(entry):
     assert len(module.smbm) == 1
     # The written table is what either serving path answers from.
     assert _serve(backend, "a", entry) == \
-        [(module.evaluate().value, 0)] * _MIN_COLUMNAR_RUN
+        [(module.evaluate().value, 0)] * RUN
     health = backend.health()
     assert health["healthy"] is True
     assert health["tenants"] == 2

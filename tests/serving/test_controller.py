@@ -19,7 +19,6 @@ from repro.engine.batch import META_FILTER_OUTPUT, META_FILTER_REQUEST
 from repro.rmt.packet import META_TENANT, Packet
 from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.controller import Controller
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -58,7 +57,7 @@ def test_concurrent_clients_admit_and_write(entry):
         # The controller's writes are what the data path serves, per
         # packet (scalar) or as a columnar run (batched).
         packets = [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
-                   for _ in range(_MIN_COLUMNAR_RUN)]
+                   for _ in range(16)]
         if entry == "scalar":
             for packet in packets:
                 backend.process(packet)

@@ -22,7 +22,6 @@ from repro.serving.backend import SwitchBackend, TableWrite
 from repro.serving.controller import Controller
 from repro.serving.migration import LiveMigration, MigrationState
 from repro.switch.filter_module import FilterModule
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN
 from repro.tenancy.manager import TenantManager, TenantSpec
 
 METRICS = ("cpu", "mem")
@@ -45,11 +44,21 @@ def _admit(backend, name="t"):
     backend.program_tenant(TenantSpec(name, _policy(), smbm_quota=8))
 
 
-def _serve(backend, name="t", run=1):
-    """Serve a run of ``run`` requesting packets; all must agree."""
+#: Requesting packets per serve step.
+RUN = 16
+
+
+def _serve(backend, name="t", entry="batched"):
+    """Serve a run of :data:`RUN` requesting packets per packet
+    (``scalar``) or as one ``process_batch`` (``batched``); all must
+    agree."""
     packets = [Packet(metadata={META_FILTER_REQUEST: 1, META_TENANT: name})
-               for _ in range(run)]
-    backend.process_batch(packets)
+               for _ in range(RUN)]
+    if entry == "scalar":
+        for packet in packets:
+            backend.process(packet)
+    else:
+        backend.process_batch(packets)
     outputs = {p.metadata[META_FILTER_OUTPUT] for p in packets}
     assert len(outputs) == 1
     return outputs.pop()
@@ -65,13 +74,14 @@ def _schedule(rounds=30):
 
 
 @pytest.mark.parametrize(
-    "src_run,dst_run",
-    [(1, _MIN_COLUMNAR_RUN), (_MIN_COLUMNAR_RUN, 1)],
+    "src_entry,dst_entry",
+    [("scalar", "batched"), ("batched", "scalar")],
     ids=("scalar-to-batched", "batched-to-scalar"),
 )
-def test_migration_is_zero_loss_against_golden_twin(src_run, dst_run):
-    """Each side serves its runs on one path — per packet (``scalar``)
-    or columnar (``batched``) — and the move stays invisible."""
+def test_migration_is_zero_loss_against_golden_twin(src_entry, dst_entry):
+    """Each side serves its runs through one entry point — per packet
+    (``scalar``) or columnar (``batched``) — and the move stays
+    invisible."""
     steps = _schedule(30)
     # The golden twin: same schedule, no migration, solo module.
     twin = FilterModule(8, METRICS, _policy())
@@ -94,14 +104,14 @@ def test_migration_is_zero_loss_against_golden_twin(src_run, dst_run):
         if i == 2 * third:
             stats = migration.cutover()  # flip on a version boundary
         moved = migration.state is MigrationState.COMPLETE
-        serving, run = (dst, dst_run) if moved else (src, src_run)
+        serving, entry = (dst, dst_entry) if moved else (src, src_entry)
         if step[0] == "write":
             if migration.state is MigrationState.DUAL_RUNNING:
                 migration.apply_write(step[1], step[2])
             else:
                 serving.write_batch([TableWrite("t", step[1], step[2])])
         else:
-            trace.append(_serve(serving, run=run))
+            trace.append(_serve(serving, entry=entry))
 
     assert migration.state is MigrationState.COMPLETE
     assert trace == golden  # bit-identical: the move was invisible

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.pipeline import PipelineParams
 from repro.core.policy import (
     Conditional,
@@ -23,7 +24,7 @@ from repro.switch.filter_module import (
     FilterModule,
 )
 from repro.switch.replication import ReplicatedSMBM, WriteContention
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
+from repro.switch.thanos_switch import ThanosSwitch
 
 METRICS = ("util", "delay")
 
@@ -173,33 +174,43 @@ class TestThanosSwitch:
         sw.on_event("dequeue", port=3)
         assert sw.filter_module.smbm.metrics_of(3)["util"] == 1
 
-    @pytest.mark.parametrize("length",
-                             [_MIN_COLUMNAR_RUN - 1, _MIN_COLUMNAR_RUN])
+    @pytest.mark.parametrize("length", [1, 15, 16])
     def test_process_batch_run_rule_on_a_dedicated_switch(self, length):
-        """Without tenants too, a short run traverses the pipeline packet
-        by packet and a long run is one columnar batch; both serve every
-        packet."""
-        sw = make_switch()
+        """Without tenants too, a filter-only switch serves a run of any
+        length as one columnar batch, never through the pipeline, and
+        every packet gets its output."""
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            sw = make_switch()
         sw.filter_module.update_resource(0, {"util": 40, "delay": 1})
         sw.filter_module.update_resource(1, {"util": 10, "delay": 2})
         packets = requesting(length)
         sw.process_batch(packets)
-        columnar = length >= _MIN_COLUMNAR_RUN
-        assert sw.filter_module.batch_counters()["batches"] == int(columnar)
-        assert sw.pipeline.packets_processed == (0 if columnar else length)
+        assert registry.value_of("switch_runs_total",
+                                 {"path": "columnar"}) == 1
+        assert registry.value_of("switch_runs_total",
+                                 {"path": "pipeline"}) == 0
+        assert sw.filter_module.batch_counters()["batches"] == 1
+        assert sw.pipeline.packets_processed == 0
         assert [p.metadata[META_FILTER_SELECTED] for p in packets] == (
             [1] * length)
 
     def test_process_batch_with_an_egress_stage_stays_per_packet(self):
-        """Another RMT stage must see each packet in turn, so even a long
-        run is never columnarized."""
+        """Another RMT stage must see each packet in turn, so a run is
+        served through the pipeline, never columnarized."""
         seen = []
         egress = MatchActionStage("egress", hook=seen.append)
-        sw = make_switch(egress_stages=[egress])
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            sw = make_switch(egress_stages=[egress])
         sw.filter_module.update_resource(3, {"util": 5, "delay": 1})
-        packets = requesting(2 * _MIN_COLUMNAR_RUN)
+        packets = requesting(32)
         sw.process_batch(packets)
         assert seen == packets
+        assert registry.value_of("switch_runs_total",
+                                 {"path": "pipeline"}) == 1
+        assert registry.value_of("switch_runs_total",
+                                 {"path": "columnar"}) == 0
         assert sw.filter_module.batch_counters()["batches"] == 0
         assert all(p.metadata[META_FILTER_SELECTED] == 3 for p in packets)
 

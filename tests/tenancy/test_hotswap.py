@@ -30,7 +30,7 @@ from repro.switch.filter_module import (
     META_FILTER_REQUEST,
     FilterModule,
 )
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
+from repro.switch.thanos_switch import ThanosSwitch
 from repro.tenancy import TenantManager, TenantSpec
 
 PARAMS = PipelineParams(n=8)
@@ -47,9 +47,11 @@ def _policies() -> list[Policy]:
     ]
 
 
-#: Batched streams run long enough for batches on both sides of the
-#: switch's per-packet/columnar threshold.
-LONG = 3 * _MIN_COLUMNAR_RUN
+#: Batch sizes of interest: 1 up to twice this, with examples on each side
+#: of it (16 was once the shortest run served columnar).
+RUN = 16
+#: Batched streams run long enough for several batches of every size.
+LONG = 3 * RUN
 
 
 @st.composite
@@ -127,13 +129,12 @@ def test_hot_swap_scalar_stream_is_hitless(scenario):
 
 
 @settings(max_examples=40)
-@given(scenarios(LONG), st.integers(1, 2 * _MIN_COLUMNAR_RUN))
-@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), _MIN_COLUMNAR_RUN - 1)
-@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), _MIN_COLUMNAR_RUN)
+@given(scenarios(LONG), st.integers(1, 2 * RUN))
+@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), RUN - 1)
+@example(([(3, 4), (1, 9)], LONG, LONG // 2, 0, 1), RUN)
 def test_hot_swap_batched_stream_is_hitless(scenario, batch_size):
-    """Same contract on process_batch, with batches short enough to be
-    served per packet and long enough to be served columnar; a single
-    batch never mixes plans."""
+    """Same contract on process_batch, with batches from a single packet
+    up to :data:`LONG`; a single batch never mixes plans."""
     rows, n_packets, swap_at, old, new = scenario
     want_old, want_new = _expected(rows, old), _expected(rows, new)
     mgr, switch = _env(rows, old)

@@ -19,12 +19,15 @@ from repro.switch.filter_module import (
     META_FILTER_REQUEST,
     FilterModule,
 )
-from repro.switch.thanos_switch import _MIN_COLUMNAR_RUN, ThanosSwitch
+from repro.switch.thanos_switch import ThanosSwitch
 from repro.tenancy import TenantManager, TenantSpec
 
 PARAMS = PipelineParams(n=8)
 METRICS = ("q", "load")
 QUOTA = 8
+#: A run length the batched isolation test must see runs on both sides
+#: of (16 was once the shortest run served columnar).
+LONG_RUN = 16
 
 
 def _policy_a() -> Policy:
@@ -184,10 +187,10 @@ def test_batched_two_tenant_isolation(rng):
     """The same isolation contract on the batched path: a mixed packet
     stream through process_batch demuxes into per-tenant sub-batches
     whose outputs match each tenant's solo trace.  A write-free stretch
-    and a low write rate put runs on both sides of the per-packet /
-    columnar threshold."""
+    and a low write rate put runs both shorter and longer than
+    :data:`LONG_RUN` in the stream."""
     steps = (_schedule(rng, rounds=80)
-             + _schedule(rng, rounds=2 * _MIN_COLUMNAR_RUN, write_p=0.0)
+             + _schedule(rng, rounds=2 * LONG_RUN, write_p=0.0)
              + _schedule(rng, rounds=80, write_p=0.1))
     golden_a = _golden_trace(steps, _policy_a(), "a")
     golden_b = _golden_trace(steps, _policy_b(), "b")
@@ -224,6 +227,6 @@ def test_batched_two_tenant_isolation(rng):
             }))
     flush()
 
-    assert min(lengths) < _MIN_COLUMNAR_RUN <= max(lengths)
+    assert min(lengths) < LONG_RUN <= max(lengths)
     assert trace["a"] == golden_a
     assert trace["b"] == golden_b
